@@ -52,7 +52,6 @@ from .indexrng import (
 )
 from .mlp import (
     MlpConfig,
-    RealFunctionHandle,
     ROOT_PATH,
     SemilinearProblem,
     mlp_estimate,
@@ -95,7 +94,6 @@ from .sde import (
     TimeGrid,
     effective_breakpoints,
     euler_evaluate,
-    grid_floor,
     uniform_grid,
 )
 

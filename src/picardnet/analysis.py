@@ -9,6 +9,7 @@ one row per probe or grid point plus a pass flag and the worst margin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -20,7 +21,7 @@ from .indexrng import FrozenSample, standard_normals
 from .mlp import ROOT_PATH, MlpConfig, SemilinearProblem, mlp_rmse
 from .nets import architecture, param_count
 from .problems import PerturbationSpec, network_encodings
-from .sde import TimeGrid, uniform_grid
+from .sde import TimeGrid, effective_breakpoints, euler_run, uniform_grid
 
 _ANALYSIS_PURPOSE = b"analysis-batch"
 
@@ -94,41 +95,32 @@ def l2_error(estimator: Callable, reference: Callable, cfg: ErrorMeasureConfig,
 # batched Euler sampling (analysis-local Monte Carlo)
 # ---------------------------------------------------------------------------
 
-def _batch_normals(seed: int, tag: int, shape) -> np.ndarray:
-    return standard_normals(FrozenSample(seed), (tag,), _ANALYSIS_PURPOSE, shape)
+def _batch_increments(seed: int, tag: int, breakpoints: Sequence[float], n_paths: int,
+                      d: int) -> np.ndarray:
+    """Brownian increments for n_paths rows over the breakpoints, from one substream.
+
+    The normals are drawn as one (n_paths, max(m, 1), d) block for m steps,
+    so the stream is consumed the same way whatever the step count, and
+    step k is scaled by the square root of its gap.
+    """
+    m = len(breakpoints) - 1
+    z = standard_normals(FrozenSample(seed), (tag,), _ANALYSIS_PURPOSE, (n_paths, max(m, 1), d))
+    return z[:, :m] * np.sqrt(np.diff(breakpoints))[:, None]
 
 
 def simulate_terminal_batch(problem: SemilinearProblem, grid: TimeGrid, t: float,
-                            x, s: float, n_paths: int, seed: int,
-                            snapshot_times: Sequence[float] = ()) -> dict:
-    """n_paths Euler states at time s (plus optional snapshots), batched.
+                            x, s: float, n_paths: int, seed: int) -> dict:
+    """n_paths Euler states at time s, batched: {"terminal": (n_paths, d) array}.
 
-    Uses one derived substream for the whole batch; rows are paths.  The
-    per-path coefficient evaluation stays scalar because problem
-    coefficients are plain closures.
+    One derived substream drives the whole batch; rows are paths.  The
+    steps run through ``sde.euler_run``, so a non-finite state raises
+    ``NumericFailure``.
     """
-    from .sde import effective_breakpoints
-
     breakpoints = effective_breakpoints(grid, t, s)
-    d = problem.d
-    m = len(breakpoints) - 1
-    z = _batch_normals(seed, 0, (n_paths, max(m, 1), d))
-    states = np.tile(np.asarray(x, dtype=np.float64).reshape(d), (n_paths, 1))
-    snapshots = {}
-    want = {float(v) for v in snapshot_times}
-    if breakpoints[0] in want:
-        snapshots[breakpoints[0]] = states.copy()
-    for k in range(m):
-        dt = breakpoints[k + 1] - breakpoints[k]
-        scale = math.sqrt(dt)
-        for row in range(n_paths):
-            y = states[row]
-            drift = np.asarray(problem.mu(y), dtype=np.float64).reshape(d)
-            diff = np.asarray(problem.sigma(y), dtype=np.float64).reshape(d, d)
-            states[row] = y + drift * dt + diff @ (scale * z[row, k])
-        if breakpoints[k + 1] in want:
-            snapshots[breakpoints[k + 1]] = states.copy()
-    return {"terminal": states, "snapshots": snapshots, "breakpoints": breakpoints}
+    states = np.tile(np.asarray(x, dtype=np.float64).reshape(problem.d), (n_paths, 1))
+    increments = _batch_increments(seed, 0, breakpoints, n_paths, problem.d)
+    euler_run(problem, breakpoints, states, increments, (0,))
+    return {"terminal": states}
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +161,6 @@ def suggest_lyapunov_constants(problem: SemilinearProblem) -> tuple[float, float
     )
     c_phi = max(2.0, problem.lipschitz_c, m0)
     return 2.0 * c_phi, c_phi
-
-
-def lyapunov_premise_margin(problem: SemilinearProblem, c: float, c_phi: float,
-                            probes: int = 256, radius: float = 5.0,
-                            seed: int = 11) -> float:
-    """Worst premise ratio minus c over random states/directions (<= 0 ok)."""
-    rng = np.random.default_rng(seed)
-    d = problem.d
-    zero = np.zeros(d)
-    m0 = max(
-        float(np.linalg.norm(np.asarray(problem.mu(zero), dtype=np.float64))),
-        float(np.linalg.norm(np.asarray(problem.sigma(zero), dtype=np.float64))),
-    )
-    worst = 2.0 - c  # gradient and Hessian premise ratios equal 2 exactly
-    for _ in range(probes):
-        x = rng.uniform(-radius, radius, size=d)
-        phi = lyapunov_phi(d, c_phi, x)
-        ratio = (c * float(np.linalg.norm(x)) + m0) / math.sqrt(phi)
-        worst = max(worst, ratio - c)
-    return worst
 
 
 def lyapunov_check(problem: SemilinearProblem, kappa: float, c: float,
@@ -255,38 +227,15 @@ def coupled_paths(problem_a: SemilinearProblem, problem_b: SemilinearProblem,
     """
     if problem_a.d != problem_b.d:
         raise AnalysisError("coupled problems must share the state dimension")
-    from .sde import effective_breakpoints
-
     d = problem_a.d
     s_values = sorted(set(float(v) for v in s_values))
     breakpoints = effective_breakpoints(grid, t, max(s_values + [t]))
     pts = sorted(set(breakpoints) | set(s_values))
-    m = len(pts) - 1
-    z = _batch_normals(seed, 1, (n_paths, max(m, 1), d))
-    a = np.tile(np.asarray(x, dtype=np.float64).reshape(d), (n_paths, 1))
-    b = a.copy()
-    out = {}
-    if pts[0] in s_values:
-        out[pts[0]] = (a.copy(), b.copy())
-    for k in range(m):
-        dt = pts[k + 1] - pts[k]
-        scale = math.sqrt(dt)
-        for row in range(n_paths):
-            dw = scale * z[row, k]
-            ya, yb = a[row], b[row]
-            a[row] = (
-                ya
-                + np.asarray(problem_a.mu(ya), dtype=np.float64).reshape(d) * dt
-                + np.asarray(problem_a.sigma(ya), dtype=np.float64).reshape(d, d) @ dw
-            )
-            b[row] = (
-                yb
-                + np.asarray(problem_b.mu(yb), dtype=np.float64).reshape(d) * dt
-                + np.asarray(problem_b.sigma(yb), dtype=np.float64).reshape(d, d) @ dw
-            )
-        if pts[k + 1] in s_values:
-            out[pts[k + 1]] = (a.copy(), b.copy())
-    return out
+    increments = _batch_increments(seed, 1, pts, n_paths, d)
+    start = np.tile(np.asarray(x, dtype=np.float64).reshape(d), (n_paths, 1))
+    kept_a = euler_run(problem_a, pts, start.copy(), increments, (1,), keep=s_values)
+    kept_b = euler_run(problem_b, pts, start, increments, (1,), keep=s_values)
+    return {s: (kept_a[s], kept_b[s]) for s in kept_a}
 
 
 def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProblem,
@@ -335,10 +284,22 @@ def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProble
     return CheckReport("perturbation", all(r["pass"] for r in rows), margin, tuple(rows))
 
 
+@functools.cache
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilists' Gauss-Hermite nodes and weights, computed once per count.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_hermite_expectation(fn: Callable[[float], float], mean: float, std: float,
                               nodes: int = 64) -> float:
     """E[fn(mean + std Z)] for standard normal Z, by Gauss-Hermite quadrature."""
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    x, w = _hermite_rule(nodes)
     return float(sum(wi * fn(mean + std * xi) for xi, wi in zip(x, w)) / math.sqrt(2 * math.pi))
 
 

@@ -127,12 +127,45 @@ class ProblemNetworks:
 
 
 # ---------------------------------------------------------------------------
-# time-recursion networks
+# step chains: x -> x + sum_j c_j branch_j(x), composed over the grid steps
 # ---------------------------------------------------------------------------
 
 def _clip(s: float, lo: float, hi: float) -> float:
     return min(max(s, lo), hi)
 
+
+def _chain_steps(d: int, depth: int, steps) -> ReluNetwork:
+    """Compose the step networks x -> x + sum_j c_j branch_j(x), first step innermost.
+
+    ``steps`` yields one (coefficients, branches) pair per step; every
+    branch maps R^d -> R^d at the given depth, next to an identity tower.
+    """
+    identity = identity_network(d, depth)
+    result = None
+    for coefs, branches in steps:
+        step = sum_networks([1.0, *coefs], [identity, *branches])
+        result = step if result is None else compose(step, result)
+    return result
+
+
+def _step_bracket(d: int, branch_archs: Sequence[Architecture]) -> Architecture:
+    """Architecture of one step: identity tower plus branches, padded to one depth."""
+    depth = max(len(a) for a in branch_archs)
+    return sum_architecture(
+        [identity_architecture(d, depth), *[extend_architecture(a, depth) for a in branch_archs]]
+    )
+
+
+def _chain_architecture(bracket: Architecture, steps: int) -> Architecture:
+    arch = bracket
+    for _ in range(steps - 1):
+        arch = compose_architecture(bracket, arch)
+    return arch
+
+
+# ---------------------------------------------------------------------------
+# time-recursion networks
+# ---------------------------------------------------------------------------
 
 def build_recursion_network(
     sigma_family: SigmaNetworkFamily,
@@ -169,23 +202,15 @@ def build_recursion_network(
             return values[k]
         return query_value
 
-    result = None
-    for k in range(1, len(taus)):
-        cut = _clip(s, taus[k - 1], taus[k])
-        delta = value_at(cut, k) - values[k - 1]
-        step = sum_networks(
-            [1.0, 1.0], [identity_network(d, depth), sigma_family(delta)]
-        )
-        result = step if result is None else compose(step, result)
-    return result
+    def step(k: int):
+        delta = value_at(_clip(s, taus[k - 1], taus[k]), k) - values[k - 1]
+        return [1.0], [sigma_family(delta)]
+
+    return _chain_steps(d, depth, (step(k) for k in range(1, len(taus))))
 
 
 def recursion_architecture(sigma_arch: Architecture, d: int, steps: int) -> Architecture:
-    bracket = sum_architecture([identity_architecture(d, len(sigma_arch)), sigma_arch])
-    arch = bracket
-    for _ in range(steps - 1):
-        arch = compose_architecture(bracket, arch)
-    return arch
+    return _chain_architecture(_step_bracket(d, [sigma_arch]), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +219,7 @@ def recursion_architecture(sigma_arch: Architecture, d: int, steps: int) -> Arch
 
 def euler_architecture(mu_arch: Architecture, sigma_arch: Architecture,
                        d: int, steps: int) -> Architecture:
-    depth = max(len(mu_arch), len(sigma_arch))
-    bracket = sum_architecture(
-        [
-            identity_architecture(d, depth),
-            extend_architecture(mu_arch, depth),
-            extend_architecture(sigma_arch, depth),
-        ]
-    )
-    arch = bracket
-    for _ in range(steps - 1):
-        arch = compose_architecture(bracket, arch)
-    return arch
+    return _chain_architecture(_step_bracket(d, [mu_arch, sigma_arch]), steps)
 
 
 def build_euler_network(
@@ -242,22 +256,14 @@ def build_euler_network(
         acc = acc + noise.increments[i]
         w_at[breakpoints[i + 1]] = acc
 
-    result = None
-    for k in range(1, len(grid.points)):
+    def step(k: int):
         lo = max(grid.points[k - 1], t)
         hi = _clip(s, lo, max(grid.points[k], t))
         dt = hi - lo
         dw = w_at[hi] - w_at[lo] if dt > 0.0 else np.zeros(d)
-        step = sum_networks(
-            [1.0, dt, 1.0],
-            [
-                identity_network(d, depth),
-                mu_ext,
-                extend_depth(sigma_family(dw), depth),
-            ],
-        )
-        result = step if result is None else compose(step, result)
-    return result
+        return [dt, 1.0], [mu_ext, extend_depth(sigma_family(dw), depth)]
+
+    return _chain_steps(d, depth, (step(k) for k in range(1, len(grid.points))))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +303,6 @@ def _scale_hidden(arch: Architecture, count: int) -> Architecture:
     return (arch[0], *[count * w for w in arch[1:-1]], arch[-1])
 
 
-def _sum_shared(archs: Sequence[Architecture]) -> Architecture:
-    hidden = [sum(a[i] for a in archs) for i in range(1, len(archs[0]) - 1)]
-    return (archs[0][0], *hidden, archs[0][-1])
-
-
 def predict_architecture(
     mu_arch: Architecture,
     sigma_arch: Architecture,
@@ -319,7 +320,8 @@ def predict_architecture(
     glue at state-dimension junctions, and the Euler step bracket whose
     hidden widths are the SUM 2d + w_mu + w_sigma of its three branches.
     """
-    y_arch = euler_architecture(mu_arch, sigma_arch, d, steps)
+    bracket = _step_bracket(d, [mu_arch, sigma_arch])
+    y_arch = _chain_architecture(bracket, steps)
     y_depth = len(y_arch)
     f_depth, g_depth = len(f_arch), len(g_arch)
 
@@ -353,24 +355,17 @@ def predict_architecture(
                         compose_architecture(level_arch(l - 1), y_arch),
                     )
                     groups.append((compose_architecture(f_arch, prev), M ** (level - l)))
-            arch = _sum_shared([_scale_hidden(a, count) for a, count in groups])
+            arch = sum_architecture([_scale_hidden(a, count) for a, count in groups])
         memo[level] = arch
         return arch
 
     arch = level_arch(n)
-    depth = max(len(mu_arch), len(sigma_arch))
-    bracket = sum_architecture(
-        [
-            identity_architecture(d, depth),
-            extend_architecture(mu_arch, depth),
-            extend_architecture(sigma_arch, depth),
-        ]
-    )
     c_eff = max(2, 2 * d, max_width(f_arch), max_width(g_arch), max_width(bracket))
     width_bound = c_eff * (3 * M) ** n
     expected_depth = mlp_depth_identity(n, steps, len(mu_arch), len(sigma_arch),
                                         f_depth, g_depth)
-    assert len(arch) == expected_depth
+    if len(arch) != expected_depth:
+        raise NetworkError(f"predicted depth {len(arch)} breaks the depth identity {expected_depth}")
     return ArchitecturePrediction(
         architecture=arch,
         depth=len(arch),
@@ -474,7 +469,9 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
 
     net = build_level(n, tuple(path), float(t))
     built_arch = architecture(net)
-    assert prediction.satisfied_by(built_arch), "built architecture diverged from prediction"
+    if not prediction.satisfied_by(built_arch):
+        raise NetworkError(
+            f"built architecture {built_arch} diverged from prediction {prediction.architecture}")
     provenance = {
         "theta": [int(v) for v in path],
         "t": float(t),

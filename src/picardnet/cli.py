@@ -5,7 +5,8 @@ schema (unknown keys are rejected); outputs are CSV files with '.'
 decimals, LF line endings and 17-significant-digit floats, plus JSON
 summaries, so reruns with the same config and seed are byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 resource guard, 4 check failure.
+Exit codes: 0 success, 2 config error, 3 resource guard, 4 check failure
+or any other error, such as a non-finite simulated state (NumericFailure).
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .analysis import (
 from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample
 from .mlp import ROOT_PATH, MlpConfig, mlp_estimate
-from .nets import network_to_dict, param_count, realize
+from .nets import architecture, max_width, network_to_dict, param_count, realize
 from .problems import catalog_entry, network_encodings, problem_catalog
 from .sde import TimeGrid, uniform_grid
 
@@ -163,7 +162,7 @@ def _guard_levels(cfg: dict, force: bool) -> None:
             )
 
 
-def cmd_solve(cfg: dict, seed: int, out_dir: Path, threads: int) -> int:
+def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     entry = _entry(cfg)
     problem = entry.problem
     n, M = cfg.get("n", 2), cfg.get("M", 2)
@@ -171,17 +170,8 @@ def cmd_solve(cfg: dict, seed: int, out_dir: Path, threads: int) -> int:
     t = cfg.get("t", 0.0)
     probes = _probes(cfg, problem.d)
     config = MlpConfig(n, M, grid, FrozenSample(seed))
-
-    def solve_one(idx_probe):
-        idx, probe = idx_probe
-        est = mlp_estimate(problem, config, ROOT_PATH, t, probe)
-        return [t, *probe.tolist(), est, seed]
-
-    if threads > 1 and probes:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_one, enumerate(probes)))
-    else:
-        rows = [solve_one(ip) for ip in enumerate(probes)]
+    rows = [[t, *probe.tolist(), mlp_estimate(problem, config, ROOT_PATH, t, probe), seed]
+            for probe in probes]
     header = ["t", *[f"x{i}" for i in range(problem.d)], "estimate", "seed"]
     write_csv(out_dir / "solve.csv", header, rows)
     return EXIT_OK
@@ -211,11 +201,12 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
         r = float(realize(built.network, x)[0])
         worst = max(worst, abs(r - u) / (1.0 + abs(u)))
     pred = built.prediction
+    arch = architecture(built.network)
     report = {
         "problem": problem.name, "n": n, "M": M, "seed": seed, "t": t,
         "max_relative_deviation": worst,
-        "depth": {"actual": pred.depth, "predicted": pred.depth},
-        "width": {"actual": pred.width, "bound": pred.width_bound},
+        "depth": {"actual": len(arch), "predicted": pred.depth},
+        "width": {"actual": max_width(arch), "bound": pred.width_bound},
         "params": {"actual": param_count(built.network), "bound": pred.param_bound},
         "pass": worst <= 1e-8,
         "provenance": built.provenance_json(),
@@ -336,16 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--force", action="store_true",
                         help="lift the n = M cost guard")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default PICARDNET_THREADS or 1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("PICARDNET_THREADS", "1"))
     if args.command == "problems":
         for name in sorted(problem_catalog()):
             print(name)
@@ -358,7 +344,7 @@ def main(argv=None) -> int:
         _guard_levels(cfg, args.force)
         out_dir = Path(args.out)
         if args.command == "solve":
-            return cmd_solve(cfg, args.seed, out_dir, threads)
+            return cmd_solve(cfg, args.seed, out_dir)
         if args.command == "build-verify":
             return cmd_build_verify(cfg, args.seed, out_dir)
         return cmd_sweep(cfg, args.seed, out_dir)

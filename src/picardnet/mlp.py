@@ -11,7 +11,7 @@ network consuming the same draws can match it pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,22 +24,6 @@ ROOT_PATH: IndexPath = (0,)
 
 class MlpError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RealFunctionHandle:
-    """A total evaluable map with declared input/output shape."""
-
-    in_dim: int
-    out_shape: tuple[int, ...]
-    fn: Callable
-
-    def __call__(self, x):
-        out = self.fn(x)
-        arr = np.asarray(out, dtype=np.float64)
-        if arr.shape != self.out_shape:
-            raise MlpError(f"evaluator returned shape {arr.shape}, declared {self.out_shape}")
-        return arr if self.out_shape else float(arr)
 
 
 @dataclass(frozen=True)
@@ -61,7 +45,6 @@ class SemilinearProblem:
     g: Callable
     lipschitz_c: float = 1.0
     encodings: Optional[Callable] = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def T(self) -> float:

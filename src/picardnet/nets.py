@@ -212,7 +212,8 @@ def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
     glue_out = (np.hstack([a_first, -a_first]), a_bias)
     layers = inner.layers[:-1] + (glue_in, glue_out) + outer.layers[1:]
     net = ReluNetwork(layers)
-    assert architecture(net) == compose_architecture(architecture(outer), architecture(inner))
+    if architecture(net) != compose_architecture(architecture(outer), architecture(inner)):
+        raise NetworkError("composed architecture breaks the composition identity")
     return net
 
 
@@ -259,7 +260,8 @@ def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> 
         b_fin = b_fin + float(h) * net.layers[-1][1]
     layers.append((w_fin, b_fin))
     net = ReluNetwork(tuple(layers))
-    assert architecture(net) == sum_architecture([architecture(n) for n in nets])
+    if architecture(net) != sum_architecture([architecture(n) for n in nets]):
+        raise NetworkError("summed architecture breaks the sum identity")
     return net
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -52,17 +53,6 @@ def uniform_grid(horizon: float, steps: int) -> TimeGrid:
     return TimeGrid(tuple(horizon * k / steps for k in range(steps + 1)))
 
 
-def grid_floor(grid: TimeGrid, s: float) -> float:
-    """Largest grid point strictly below s, or tau_0 if none.
-
-    A grid point maps to its predecessor: grid_floor(tau_k) = tau_{k-1}.
-    """
-    if not grid.points[0] <= s <= grid.horizon:
-        raise SimulationError(f"time {s} outside [0, {grid.horizon}]")
-    below = [p for p in grid.points if p < s]
-    return below[-1] if below else grid.points[0]
-
-
 def effective_breakpoints(grid: TimeGrid, t: float, s: float) -> tuple[float, ...]:
     """{t} plus the grid points in (t, s] plus {s}, sorted and deduplicated.
 
@@ -75,6 +65,36 @@ def effective_breakpoints(grid: TimeGrid, t: float, s: float) -> tuple[float, ..
     pts = {t, s}
     pts.update(p for p in grid.points if t < p <= s)
     return tuple(sorted(pts))
+
+
+def euler_run(problem, breakpoints: Sequence[float], states: np.ndarray,
+              increments: np.ndarray, path: IndexPath,
+              keep: Collection[float] = ()) -> dict[float, np.ndarray]:
+    """Advance every row of the (N, d) ``states`` in place along the breakpoints.
+
+    Step k maps each row y to y + mu(y) dt_k + sigma(y) @ increments[row, k],
+    with the coefficients taken at the left endpoint; ``increments`` has
+    shape (N, len(breakpoints) - 1, d).  Returns a copy of the states at
+    each breakpoint listed in ``keep``.  A non-finite state anywhere in the
+    batch raises ``NumericFailure`` naming ``path``.
+    """
+    d = problem.d
+    mu, sigma = problem.mu, problem.sigma
+    kept = {}
+    if breakpoints[0] in keep:
+        kept[breakpoints[0]] = states.copy()
+    for k in range(len(breakpoints) - 1):
+        dt = breakpoints[k + 1] - breakpoints[k]
+        for row in range(len(states)):
+            y = states[row]
+            drift = np.asarray(mu(y), dtype=np.float64).reshape(d)
+            diff = np.asarray(sigma(y), dtype=np.float64).reshape(d, d)
+            states[row] = y + drift * dt + diff @ increments[row, k]
+        if not np.isfinite(states).all():
+            raise NumericFailure(f"state non-finite at time {breakpoints[k + 1]}", path)
+        if breakpoints[k + 1] in keep:
+            kept[breakpoints[k + 1]] = states.copy()
+    return kept
 
 
 def euler_evaluate(problem, grid: TimeGrid, sample: FrozenSample, path: IndexPath,
@@ -90,16 +110,9 @@ def euler_evaluate(problem, grid: TimeGrid, sample: FrozenSample, path: IndexPat
         raise SimulationError(f"start time {t} outside [0, {grid.horizon}]")
     if not t <= s <= grid.horizon:
         raise SimulationError(f"query time {s} outside [{t}, {grid.horizon}]")
-    y = np.asarray(x, dtype=np.float64).reshape(problem.d).copy()
+    states = np.array(x, dtype=np.float64).reshape(1, problem.d)
     breakpoints = effective_breakpoints(grid, t, s)
-    if len(breakpoints) < 2:
-        return y
-    noise = brownian_path(sample, path, problem.d, breakpoints)
-    for k in range(len(breakpoints) - 1):
-        dt = breakpoints[k + 1] - breakpoints[k]
-        drift = np.asarray(problem.mu(y), dtype=np.float64).reshape(problem.d)
-        diff = np.asarray(problem.sigma(y), dtype=np.float64).reshape(problem.d, problem.d)
-        y = y + drift * dt + diff @ noise.increments[k]
-        if not np.all(np.isfinite(y)):
-            raise NumericFailure(f"state non-finite at time {breakpoints[k + 1]}", path)
-    return y
+    if len(breakpoints) > 1:
+        noise = brownian_path(sample, path, problem.d, breakpoints)
+        euler_run(problem, breakpoints, states, noise.increments[None], path)
+    return states[0]

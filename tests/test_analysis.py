@@ -28,6 +28,7 @@ from picardnet.analysis import (
 )
 from picardnet.problems import catalog_entry, network_encodings
 from picardnet import realize, uniform_grid
+from picardnet.sde import NumericFailure
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +101,6 @@ def test_lyapunov_second_moment_monte_carlo():
     assert report.passed and report.margin > 0
 
 
-def test_lyapunov_premise_margin_nonpositive():
-    from picardnet.analysis import lyapunov_premise_margin
-
-    for name in ("ode-exp", "heat", "relu-exact"):
-        entry = catalog_entry(name)
-        c, c_phi = suggest_lyapunov_constants(entry.problem)
-        assert lyapunov_premise_margin(entry.problem, c, c_phi) <= 0.0
-
-
 # ---------------------------------------------------------------------------
 # perturbation bound
 # ---------------------------------------------------------------------------
@@ -119,6 +111,15 @@ def test_coupled_identical_problems_zero_gap(heat_entry):
                           np.zeros(2), [0.5, 1.0], n_paths=500)
     for xa, xb in snaps.values():
         assert np.array_equal(xa, xb)
+
+
+def test_batch_paths_raise_on_nonfinite_state(heat_entry):
+    blowup = dataclasses.replace(heat_entry.problem, mu=lambda x: np.full(2, np.inf))
+    grid = uniform_grid(1.0, 4)
+    with pytest.raises(NumericFailure):
+        simulate_terminal_batch(blowup, grid, 0.0, np.zeros(2), 1.0, 10, seed=1)
+    with pytest.raises(NumericFailure):
+        coupled_paths(heat_entry.problem, blowup, grid, 0.0, np.zeros(2), [0.5, 1.0], 10)
 
 
 def test_perturbation_delta_zero_measures_zero(heat_entry):

@@ -90,6 +90,37 @@ def test_build_verify_pass_report(tmp_path):
     assert {"rows", "cols", "weights", "bias"} == set(payload["network"]["layers"][0])
 
 
+def test_build_verify_reports_built_shape(tmp_path, monkeypatch):
+    # a build that diverges from its prediction must show in the "actual" fields
+    import dataclasses
+
+    from picardnet import architecture, cli, extend_depth, max_width, sum_networks
+
+    real_build = cli.build_mlp_network
+    seen = []
+
+    def widened_build(*args, **kwargs):
+        built = real_build(*args, **kwargs)
+        net = built.network
+        wider = extend_depth(sum_networks([0.5, 0.5], [net, net]), net.depth + 1)
+        seen.append((built.prediction, architecture(wider)))
+        return dataclasses.replace(built, network=wider)
+
+    monkeypatch.setattr(cli, "build_mlp_network", widened_build)
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"problem": "relu-exact", "n": 1, "M": 1, "probes": [[0.1, -0.2]],
+         "time_grid": {"uniform_steps": 2}},
+    )
+    out = tmp_path / "o"
+    assert run(["build-verify", "--config", cfg, "--seed", "9", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "build_verify.json").read_text())
+    [(prediction, arch)] = seen
+    assert report["depth"] == {"actual": len(arch), "predicted": prediction.depth}
+    assert report["depth"]["actual"] == prediction.depth + 1
+    assert report["width"]["actual"] == max_width(arch) == 2 * prediction.width
+
+
 def test_build_verify_zero_level(tmp_path):
     cfg = write_config(
         tmp_path, "c.json",
@@ -181,18 +212,6 @@ def test_sweep_perturbation_passes(tmp_path):
     assert run(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "perturbation_summary.json").read_text())
     assert summary["pass"] is True
-
-
-def test_threads_flag_same_output(tmp_path):
-    cfg = write_config(
-        tmp_path, "c.json",
-        {"problem": "ode-exp", "n": 2, "M": 2, "probes": [[0.0], [0.5], [1.0]],
-         "time_grid": {"uniform_steps": 1}},
-    )
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["solve", "--config", cfg, "--out", str(a), "--threads", "1"]) == EXIT_OK
-    assert run(["solve", "--config", cfg, "--out", str(b), "--threads", "4"]) == EXIT_OK
-    assert (a / "solve.csv").read_bytes() == (b / "solve.csv").read_bytes()
 
 
 def test_exit_codes_exported():

@@ -1,0 +1,122 @@
+"""Golden outputs: exact estimates, Monte Carlo batches and built networks.
+
+The frozen randomness promises bit-identical reruns, so every value here is
+pinned exactly: estimates as ``float.hex``, arrays and networks as SHA-256
+of their bytes.  A change to a random stream, to the order of the Euler
+arithmetic or to the network layout fails these tests.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from picardnet import (
+    FrozenSample,
+    MlpConfig,
+    ROOT_PATH,
+    TimeGrid,
+    build_mlp_network,
+    catalog_entry,
+    mlp_estimate,
+    network_encodings,
+    network_to_json,
+    uniform_grid,
+)
+from picardnet.analysis import coupled_paths, simulate_terminal_batch
+
+# the point 0.5 is repeated: the zero-length step must consume no randomness
+REPEATED = TimeGrid((0.0, 0.25, 0.5, 0.5, 1.0))
+
+
+def _grid(horizon, steps):
+    return REPEATED if steps is None else uniform_grid(horizon, steps)
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# (problem, n, M, grid steps or None for REPEATED, seed, t, x, float.hex)
+ESTIMATES = [
+    ("ode-exp", 2, 2, 4, 7, 0.0, (0.3,), "0x1.0000000000000p+1"),
+    ("ode-exp", 3, 2, 4, 8, 0.4, (-1.0,), "0x1.d9d3487188c18p+0"),
+    ("heat", 2, 2, 4, 7, 0.0, (0.25, -0.5), "0x1.959521da8f0ebp+1"),
+    ("heat", 2, 3, None, 9, 0.3, (1.0, 0.5), "0x1.6a1739c57a8cbp+2"),
+    ("relu-exact", 3, 3, 8, 0, 0.0, (0.25, -0.5), "0x1.4fc6dfb459370p-1"),
+    ("relu-exact", 2, 2, None, 11, 0.5, (-0.3, 0.7), "0x1.a7af7c4715a35p-1"),
+    ("bs-like", 3, 2, 4, 5, 0.0, (1.0, 1.2), "0x1.d5ec5b1559d8fp-3"),
+    ("bs-like", 2, 3, None, 12, 0.25, (0.9, 1.1), "0x1.ba8afed8e3b76p-3"),
+]
+
+
+@pytest.mark.parametrize("name, n, M, steps, seed, t, x, want", ESTIMATES)
+def test_golden_estimate(name, n, M, steps, seed, t, x, want):
+    problem = catalog_entry(name).problem
+    config = MlpConfig(n, M, _grid(problem.horizon, steps), FrozenSample(seed))
+    assert mlp_estimate(problem, config, ROOT_PATH, t, x).hex() == want
+
+
+# (problem, grid steps or None for REPEATED, t, s, seed, SHA-256 of the terminal states)
+TERMINAL_BATCHES = [
+    ("bs-like", 4, 0.0, 1.0, 3,
+     "858e3d2cbdbff318af90f568cdeebcc3d03d27c3f9bdafe1c452e2f463614f94"),
+    ("bs-like", None, 0.1, 0.8, 4,
+     "d7f01e1d70bd5863141bfecc48a5a68797bff674a7706ccb7832de2d0f0e3b56"),
+    ("relu-exact", None, 0.5, 0.5, 5,
+     "a5a9cbfe669e5e61d3fee0b76b7598a1f80661b61244a66fcc4d06062dcb35e5"),
+    ("heat", 3, 0.2, 0.9, 6,
+     "3f9f1987231f2d42dea86016a03c57fc6868896d946aae933c76851c8d232573"),
+]
+
+
+@pytest.mark.parametrize("name, steps, t, s, seed, want", TERMINAL_BATCHES)
+def test_golden_terminal_batch(name, steps, t, s, seed, want):
+    problem = catalog_entry(name).problem
+    x = np.linspace(0.8, 1.2, problem.d)
+    out = simulate_terminal_batch(problem, _grid(problem.horizon, steps), t, x, s, 64, seed)
+    assert _sha(out["terminal"]) == want
+
+
+# (problem pair, grid steps or None for REPEATED, t, s_values, seed, SHA-256 of the snapshots)
+COUPLED = [
+    (("heat", "bs-like"), 8, 0.0, (0.0, 0.3, 0.5, 1.0), 77,
+     "bba630ac6fccba4ed78b3c6038c58ead6b7743e6e54214b4541876b0195f9123"),
+    (("bs-like", "relu-exact"), None, 0.1, (0.5, 0.6, 1.0), 78,
+     "9d6424ee4dddfd6409d4a400d09ebcae6a0da0c56ff77541c4b25e91bd598647"),
+    (("relu-exact", "heat"), 4, 0.25, (0.25,), 79,
+     "07b4f1007785eafdde835375bd2d4e89df753c55153045fd109ac408699da446"),
+]
+
+
+@pytest.mark.parametrize("names, steps, t, s_values, seed, want", COUPLED)
+def test_golden_coupled_paths(names, steps, t, s_values, seed, want):
+    problem_a, problem_b = (catalog_entry(name).problem for name in names)
+    x = np.array([0.9, 1.1])
+    snaps = coupled_paths(problem_a, problem_b, _grid(1.0, steps), t, x, s_values, 48, seed)
+    assert sorted(snaps) == sorted(set(s_values))
+    parts = []
+    for s in sorted(snaps):
+        parts.extend([np.array([s]), *snaps[s]])
+    assert _sha(*parts) == want
+
+
+# (problem, seed, t, SHA-256 of network_to_json) at n = M = 2, K = 2
+NETWORKS = [
+    ("relu-exact", 17, 0.0,
+     "bc1ccb14c143581ece43235151aec5b6b76edcad9a2a428a920b39ca3426af8a"),
+    ("bs-like", 18, 0.25,
+     "ad308d7501419049ef9718f50dbf37ff2d48d83d68303ed3b4f22d81142c0a71"),
+]
+
+
+@pytest.mark.parametrize("name, seed, t, want", NETWORKS)
+def test_golden_network(name, seed, t, want):
+    problem = catalog_entry(name).problem
+    config = MlpConfig(2, 2, uniform_grid(problem.horizon, 2), FrozenSample(seed))
+    built = build_mlp_network(network_encodings(problem), config, ROOT_PATH, t)
+    text = network_to_json(built.network)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want

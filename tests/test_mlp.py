@@ -115,24 +115,6 @@ def test_rmse_trivials():
         mlp_rmse(prob, cfg, 0.0, [0.0], math.inf, seeds=2)
 
 
-def test_real_function_handle_shape_checked():
-    from picardnet import RealFunctionHandle
-
-    mu = RealFunctionHandle(2, (2,), lambda x: np.zeros(2))
-    assert np.array_equal(mu(np.ones(2)), np.zeros(2))
-    bad = RealFunctionHandle(2, (2,), lambda x: np.zeros(3))
-    with pytest.raises(MlpError):
-        bad(np.ones(2))
-    # handles are plain callables, so they slot in as problem coefficients
-    prob = SemilinearProblem(
-        name="handled", d=2, horizon=1.0,
-        mu=mu, sigma=RealFunctionHandle(2, (2, 2), lambda x: np.zeros((2, 2))),
-        f=lambda v: 0.0, g=lambda x: 1.0,
-    )
-    cfg = MlpConfig(1, 1, uniform_grid(1.0, 1), FrozenSample(3))
-    assert mlp_estimate(prob, cfg, ROOT_PATH, 0.0, [0.0, 0.0]) == pytest.approx(1.0)
-
-
 def test_error_bound_conformance_full_level_grid():
     # ensemble RMSE stays below the full-error bound on the whole grid
     from picardnet import fullerror_check

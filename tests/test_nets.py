@@ -101,6 +101,16 @@ def test_compose_rejects_mismatched_interface(rng):
         compose(f, g)
 
 
+def test_compose_identity_check_raises_network_error(rng, monkeypatch):
+    import picardnet.nets as nets
+
+    f = random_network(rng, 2, 1, 3)
+    g = random_network(rng, 3, 2, 4)
+    monkeypatch.setattr(nets, "compose_architecture", lambda outer, inner: (0,))
+    with pytest.raises(NetworkError):
+        compose(f, g)
+
+
 def test_sum_architecture_formula_and_cancellation(rng):
     a = random_network(rng, 2, 1, 3, width=3)
     b = random_network(rng, 2, 1, 3, width=5)

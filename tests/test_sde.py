@@ -8,10 +8,9 @@ from picardnet import (
     TimeGrid,
     effective_breakpoints,
     euler_evaluate,
-    grid_floor,
     uniform_grid,
 )
-from picardnet.sde import NumericFailure, SimulationError
+from picardnet.sde import NumericFailure, SimulationError, euler_run
 from picardnet.mlp import SemilinearProblem
 
 SAMPLE = FrozenSample(2024)
@@ -36,16 +35,6 @@ def test_grid_validation():
         TimeGrid((0.0, 0.7, 0.3))
     grid = TimeGrid((0.0, 0.5, 0.5, 1.0))
     assert grid.steps == 3 and grid.horizon == 1.0
-
-
-def test_grid_floor_is_strict_at_grid_points():
-    grid = TimeGrid((0.0, 0.5, 1.0))
-    assert grid_floor(grid, 0.5) == 0.0
-    assert grid_floor(grid, 0.0) == 0.0
-    assert grid_floor(grid, 0.75) == 0.5
-    assert grid_floor(grid, 1.0) == 0.5
-    with pytest.raises(SimulationError):
-        grid_floor(grid, 1.5)
 
 
 def test_effective_breakpoints():
@@ -123,3 +112,22 @@ def test_nonfinite_coefficient_reports_path():
     with pytest.raises(NumericFailure) as err:
         euler_evaluate(bad, grid, SAMPLE, (3, 7), 0.0, np.zeros(1), 1.0)
     assert err.value.path == (3, 7)
+
+
+def test_euler_run_rows_are_independent_and_keep_copies():
+    problem = make_problem(2, lambda y: 0.5 * y, lambda y: np.diag(0.1 * y))
+    breakpoints = (0.0, 0.25, 0.5, 1.0)
+    rng = np.random.default_rng(5)
+    start = rng.uniform(-1, 1, (4, 2))
+    increments = rng.standard_normal((4, 3, 2))
+    states = start.copy()
+    kept = euler_run(problem, breakpoints, states, increments, (0,), keep={0.0, 0.5})
+    assert sorted(kept) == [0.0, 0.5]
+    assert np.array_equal(kept[0.0], start)
+    for row in range(4):
+        single = start[row:row + 1].copy()
+        mid = euler_run(problem, breakpoints[:3], single, increments[row:row + 1], (0,),
+                        keep={0.5})
+        assert np.array_equal(mid[0.5][0], kept[0.5][row])
+        euler_run(problem, breakpoints[2:], single, increments[row:row + 1, 2:], (0,))
+        assert np.array_equal(single[0], states[row])
