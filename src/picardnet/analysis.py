@@ -296,11 +296,16 @@ def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_hermite_expectation(fn: Callable[[float], float], mean: float, std: float,
-                              nodes: int = 64) -> float:
-    """E[fn(mean + std Z)] for standard normal Z, by Gauss-Hermite quadrature."""
+def gauss_hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: float,
+                              std: float, nodes: int = 64) -> float:
+    """E[fn(mean + std Z)] for standard normal Z, by Gauss-Hermite quadrature.
+
+    ``fn`` is called once, on the array of all ``nodes`` abscissae, and
+    returns one value per abscissa.
+    """
     x, w = _hermite_rule(nodes)
-    return float(sum(wi * fn(mean + std * xi) for xi, wi in zip(x, w)) / math.sqrt(2 * math.pi))
+    values = np.asarray(fn(mean + std * x), dtype=np.float64)
+    return float(w @ values / math.sqrt(2 * math.pi))
 
 
 # ---------------------------------------------------------------------------

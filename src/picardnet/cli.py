@@ -5,8 +5,9 @@ schema (unknown keys are rejected); outputs are CSV files with '.'
 decimals, LF line endings and 17-significant-digit floats, plus JSON
 summaries, so reruns with the same config and seed are byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 resource guard, 4 check failure
-or any other error, such as a non-finite simulated state (NumericFailure).
+Exit codes: 0 success, 2 config error, 3 resource guard, 4 a check ran
+and failed, 5 internal error (any other exception, such as a non-finite
+simulated state, NumericFailure; the message names the exception type).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_CHECK_FAILED = 4
+EXIT_INTERNAL = 5
 
 LEVEL_GUARD = 6  # n = M at or above this refuses to run without --force
 
@@ -355,8 +357,8 @@ def main(argv=None) -> int:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

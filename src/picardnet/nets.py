@@ -6,6 +6,11 @@ operation here is a pure function on immutable values, and every
 construction is exact: composing, summing, padding and embedding
 networks never changes the realized function beyond floating-point
 reassociation.
+
+Layer arrays are read-only, so networks share them: a composition, sum
+or padding stores the layers it inherits as they are and allocates only
+the layers it changes.  The public ``ReluNetwork`` constructor copies the
+arrays it is given once, so nothing a caller holds aliases a network.
 """
 
 from __future__ import annotations
@@ -23,10 +28,27 @@ class NetworkError(ValueError):
     """Raised when layer shapes or operation preconditions do not line up."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+def _freeze(a) -> np.ndarray:
+    """A read-only float64 copy of a layer array handed in from outside."""
+    a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+def _check_layers(layers) -> None:
+    if len(layers) < 2:
+        raise NetworkError("a network needs at least one hidden layer")
+    prev_rows = None
+    for idx, (w, b) in enumerate(layers):
+        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            raise NetworkError(f"layer {idx}: weight {w.shape} / bias {b.shape} mismatch")
+        if w.shape[0] < 1 or w.shape[1] < 1:
+            raise NetworkError(f"layer {idx}: zero-sized layer")
+        if prev_rows is not None and w.shape[1] != prev_rows:
+            raise NetworkError(
+                f"layer {idx}: expects {w.shape[1]} inputs, previous layer emits {prev_rows}"
+            )
+        prev_rows = w.shape[0]
 
 
 @dataclass(frozen=True)
@@ -34,30 +56,16 @@ class ReluNetwork:
     """A feed-forward ReLU network: ordered affine pairs (weight, bias).
 
     Weight n has shape (k_n, k_{n-1}) and bias n has shape (k_n,); the
-    hidden-layer count is len(layers) - 1 and must be at least one.
+    hidden-layer count is len(layers) - 1 and must be at least one.  The
+    constructor stores read-only copies of the arrays it is given.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        if len(self.layers) < 2:
-            raise NetworkError("a network needs at least one hidden layer")
-        frozen = []
-        prev_rows = None
-        for idx, (w, b) in enumerate(self.layers):
-            w = _freeze(w)
-            b = _freeze(b)
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise NetworkError(f"layer {idx}: weight {w.shape} / bias {b.shape} mismatch")
-            if w.shape[0] < 1 or w.shape[1] < 1:
-                raise NetworkError(f"layer {idx}: zero-sized layer")
-            if prev_rows is not None and w.shape[1] != prev_rows:
-                raise NetworkError(
-                    f"layer {idx}: expects {w.shape[1]} inputs, previous layer emits {prev_rows}"
-                )
-            prev_rows = w.shape[0]
-            frozen.append((w, b))
-        object.__setattr__(self, "layers", tuple(frozen))
+        layers = tuple((_freeze(w), _freeze(b)) for w, b in self.layers)
+        _check_layers(layers)
+        object.__setattr__(self, "layers", layers)
 
     @property
     def input_dim(self) -> int:
@@ -71,6 +79,23 @@ class ReluNetwork:
     def depth(self) -> int:
         """Number of entries of the width vector (input + hidden + output)."""
         return len(self.layers) + 1
+
+
+def _assemble(layers) -> ReluNetwork:
+    """The network over ``layers`` as they are, without copies.
+
+    Only the constructions in this module call it.  Their layers are
+    arrays they have just allocated, which are sealed read-only here, and
+    layers of the networks they build on, which are read-only already.
+    """
+    layers = tuple(layers)
+    for pair in layers:
+        for a in pair:
+            a.setflags(write=False)
+    _check_layers(layers)
+    net = object.__new__(ReluNetwork)
+    object.__setattr__(net, "layers", layers)
+    return net
 
 
 def architecture(net: ReluNetwork) -> Architecture:
@@ -95,14 +120,20 @@ def max_width(arch: Sequence[int]) -> int:
 
 
 def realize(net: ReluNetwork, x: Sequence[float]) -> np.ndarray:
-    """Evaluate the network: affine, ReLU, ..., affine (no final ReLU)."""
+    """Evaluate the network: affine, ReLU, ..., affine (no final ReLU).
+
+    A point of shape (d,) gives shape (out,).  A batch of shape (N, d)
+    gives (N, out), one row per point, with one matrix product per layer;
+    its rows agree with point-wise calls up to floating-point reassociation.
+    """
     v = np.asarray(x, dtype=np.float64)
-    if v.shape != (net.input_dim,):
-        raise NetworkError(f"input has shape {v.shape}, network expects ({net.input_dim},)")
+    d = net.input_dim
+    if v.shape != (d,) and (v.ndim != 2 or v.shape[1] != d):
+        raise NetworkError(f"input has shape {v.shape}, network expects ({d},) or (N, {d})")
     for w, b in net.layers[:-1]:
-        v = np.maximum(w @ v + b, 0.0)
+        v = np.maximum(v @ w.T + b, 0.0)
     w, b = net.layers[-1]
-    return w @ v + b
+    return v @ w.T + b
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +194,7 @@ def identity_network(d: int, depth: int = 3) -> ReluNetwork:
     for _ in range(depth - 3):
         layers.append((np.eye(2 * d), np.zeros(2 * d)))
     layers.append((split.T.copy(), np.zeros(d)))
-    return ReluNetwork(tuple(layers))
+    return _assemble(layers)
 
 
 def zero_network(in_dim: int, out_dim: int, depth: int = 3) -> ReluNetwork:
@@ -175,7 +206,7 @@ def zero_network(in_dim: int, out_dim: int, depth: int = 3) -> ReluNetwork:
         (np.zeros((widths[i + 1], widths[i])), np.zeros(widths[i + 1]))
         for i in range(len(widths) - 1)
     ]
-    return ReluNetwork(tuple(layers))
+    return _assemble(layers)
 
 
 def affine_network(w: Sequence[Sequence[float]], b: Sequence[float], depth: int = 3) -> ReluNetwork:
@@ -191,7 +222,7 @@ def affine_network(w: Sequence[Sequence[float]], b: Sequence[float], depth: int 
         layers.append((np.eye(2 * q), np.zeros(2 * q)))
     merge = np.hstack([np.eye(q), -np.eye(q)])
     layers.append((merge, np.zeros(q)))
-    return ReluNetwork(tuple(layers))
+    return _assemble(layers)
 
 
 def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
@@ -208,10 +239,9 @@ def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
     w_last, b_last = inner.layers[-1]
     glue_in = (np.vstack([w_last, -w_last]), np.concatenate([b_last, -b_last]))
     a_first, a_bias = outer.layers[0]
-    m = outer.input_dim
     glue_out = (np.hstack([a_first, -a_first]), a_bias)
     layers = inner.layers[:-1] + (glue_in, glue_out) + outer.layers[1:]
-    net = ReluNetwork(layers)
+    net = _assemble(layers)
     if architecture(net) != compose_architecture(architecture(outer), architecture(inner)):
         raise NetworkError("composed architecture breaks the composition identity")
     return net
@@ -234,7 +264,7 @@ def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> 
     if len(nets) == 1:
         h = float(coefficients[0])
         w_last, b_last = nets[0].layers[-1]
-        return ReluNetwork(nets[0].layers[:-1] + ((h * w_last, h * b_last),))
+        return _assemble(nets[0].layers[:-1] + ((h * w_last, h * b_last),))
     n_aff = len(nets[0].layers)
     layers = []
     layers.append(
@@ -259,7 +289,7 @@ def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> 
     for h, net in zip(coefficients, nets):
         b_fin = b_fin + float(h) * net.layers[-1][1]
     layers.append((w_fin, b_fin))
-    net = ReluNetwork(tuple(layers))
+    net = _assemble(layers)
     if architecture(net) != sum_architecture([architecture(n) for n in nets]):
         raise NetworkError("summed architecture breaks the sum identity")
     return net
@@ -279,8 +309,9 @@ def extend_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
         return net
     if gap == 1:
         k = net.layers[-1][0].shape[1]
-        layers = net.layers[:-1] + ((np.eye(k), np.zeros(k)),) + (net.layers[-1],)
-        return ReluNetwork(layers)
+        pad = (np.eye(k), np.zeros(k))
+        layers = net.layers[:-1] + (pad, net.layers[-1])
+        return _assemble(layers)
     return compose(identity_network(net.output_dim, gap + 1), net)
 
 

@@ -171,9 +171,9 @@ def make_pwl_heat_pair(d):
     assert realize(g2, np.zeros(d))[0] == pytest.approx(0.0, abs=1e-14)
 
     def p(v, j):
-        x = np.zeros(d)
-        x[j] = v
-        return float(realize(g2, x)[0])
+        x = np.zeros((len(v), d))
+        x[:, j] = v
+        return realize(g2, x)[:, 0]
 
     pert = dataclasses.replace(problem, name="heat-pwl",
                                g=lambda x: float(realize(g2, x)[0]))

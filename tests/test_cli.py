@@ -6,10 +6,13 @@ import pytest
 from picardnet.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
     main,
 )
+from picardnet import cli
+from picardnet.sde import NumericFailure
 
 
 def write_config(tmp_path: Path, name: str, payload: dict) -> str:
@@ -215,4 +218,15 @@ def test_sweep_perturbation_passes(tmp_path):
 
 
 def test_exit_codes_exported():
-    assert (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_CHECK_FAILED) == (0, 2, 3, 4)
+    assert (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_CHECK_FAILED, EXIT_INTERNAL) == (
+        0, 2, 3, 4, 5)
+
+
+def test_numeric_failure_exits_internal(tmp_path, monkeypatch, capsys):
+    def diverge(problem, config, path, t, x):
+        raise NumericFailure("state non-finite at time 0.5", path)
+
+    monkeypatch.setattr(cli, "mlp_estimate", diverge)
+    cfg = write_config(tmp_path, "c.json", {"problem": "ode-exp", "probes": [[0.0]]})
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
+    assert "NumericFailure" in capsys.readouterr().err

@@ -47,6 +47,76 @@ def test_realize_rejects_dimension_mismatch():
         realize(SIGN_SPLIT, [1.0, 2.0])
 
 
+def test_realize_batch_rows_match_points(rng):
+    net = compose(random_network(rng, 3, 2, 4), random_network(rng, 2, 3, 3))
+    xs = rng.uniform(-3, 3, (50, 2))
+    out = realize(net, xs)
+    assert out.shape == (50, 2)
+    for x, row in zip(xs, out):
+        np.testing.assert_allclose(row, realize(net, x), rtol=1e-12, atol=1e-12)
+    assert realize(net, np.empty((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2), ()])
+def test_realize_rejects_bad_batch_shapes(rng, shape):
+    net = random_network(rng, 2, 1, 3)
+    with pytest.raises(NetworkError):
+        realize(net, np.zeros(shape))
+
+
+def _stored_arrays(net):
+    return [a for layer in net.layers for a in layer]
+
+
+def test_compose_shares_inherited_layers(rng):
+    outer, inner = random_network(rng, 3, 2, 4), random_network(rng, 2, 3, 4)
+    net = compose(outer, inner)
+    for mine, theirs in zip(net.layers[:len(inner.layers) - 1], inner.layers[:-1]):
+        assert mine[0] is theirs[0] and mine[1] is theirs[1]
+    for mine, theirs in zip(net.layers[len(inner.layers) + 1:], outer.layers[1:]):
+        assert mine[0] is theirs[0] and mine[1] is theirs[1]
+    assert net.layers[len(inner.layers)][1] is outer.layers[0][1]
+
+
+def test_every_stored_array_is_read_only(rng):
+    a, b = random_network(rng, 2, 1, 4), random_network(rng, 2, 1, 4)
+    nets = [
+        a, compose(a, identity_network(2, 3)), sum_networks([0.5], [a]),
+        sum_networks([1.0, -2.0], [a, b]), extend_depth(a, 5), extend_depth(a, 7),
+        identity_network(2, 4), zero_network(2, 3, 4), affine_network([[1.0, 2.0]], [0.5], 4),
+        network_from_json(network_to_json(a)),
+    ]
+    for net in nets:
+        for arr in _stored_arrays(net):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
+def test_constructor_copies_its_inputs(rng):
+    # A read-only array can still change through a writable view taken
+    # before it was sealed, or by being made writable again.
+    w0, b0 = rng.standard_normal((3, 2)), rng.standard_normal(3)
+    owner = rng.standard_normal((3, 3))
+    view = owner[:]
+    view.setflags(write=False)
+    w2 = rng.standard_normal((1, 3))
+    alias = w2.view()
+    w2.setflags(write=False)
+    b2 = rng.standard_normal(1)
+    b2.setflags(write=False)
+    net = ReluNetwork(((w0, b0), (view, np.zeros(3)), (w2, b2)))
+    x = np.array([0.7, -0.2])
+    before = realize(net, x)
+    for arr in (w0, b0, owner, alias):
+        arr[...] = 9.0
+    b2.setflags(write=True)
+    b2[...] = 9.0
+    assert np.array_equal(realize(net, x), before)
+    inputs = (w0, b0, view, w2, b2)
+    assert not any(s is a for s in _stored_arrays(net) for a in inputs)
+
+
 @pytest.mark.parametrize(
     "arch, expected",
     [((1, 2, 1), 7), ((2, 4, 4, 2), 42), ((3, 6, 3), 45)],
