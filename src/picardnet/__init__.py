@@ -31,17 +31,14 @@ from .builder import (
     SigmaNetworkFamily,
     build_euler_network,
     build_mlp_network,
-    build_recursion_network,
     euler_architecture,
     mlp_depth_identity,
     predict_architecture,
-    recursion_architecture,
     sigma_family_constant,
     sigma_family_linear,
     sigma_family_zero,
 )
 from .indexrng import (
-    BrownianPath,
     FrozenSample,
     IndexPath,
     brownian_path,

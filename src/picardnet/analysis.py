@@ -16,10 +16,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .builder import BuildSizeError, build_mlp_network, predict_architecture
+from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample, standard_normals
 from .mlp import ROOT_PATH, MlpConfig, SemilinearProblem, mlp_rmse
-from .nets import architecture, param_count
+from .nets import param_count
 from .problems import PerturbationSpec, network_encodings
 from .sde import TimeGrid, effective_breakpoints, euler_run, uniform_grid
 
@@ -495,11 +495,6 @@ def growth_fit(problem_factory: Callable[[int], object], d_list: Sequence[int],
             steps = level**level
             grid = uniform_grid(problem.horizon, steps)
             cfg = MlpConfig(level, level, grid, FrozenSample(seed))
-            prediction = predict_architecture(
-                architecture(networks.mu), networks.sigma.reference_architecture,
-                architecture(networks.f), architecture(networks.g),
-                level, level, steps, problem.d,
-            )
             try:
                 built = build_mlp_network(networks, cfg, ROOT_PATH, t)
             except BuildSizeError as exc:
@@ -507,6 +502,7 @@ def growth_fit(problem_factory: Callable[[int], object], d_list: Sequence[int],
                                 **exc.report})
                 continue
             measured = param_count(built.network)
+            prediction = built.prediction
             rows.append(
                 {
                     "d": d, "eps": eps, "n": level, "M": level, "steps": steps,

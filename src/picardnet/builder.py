@@ -1,10 +1,10 @@
 """Mechanical construction of ReLU networks that replay frozen estimates.
 
-Three builders live here: per-step time-recursion networks, Euler-path
-networks, and the full multilevel Picard network whose realization equals
-the recursive estimator pointwise under the same frozen sample.  The
-builders never store raw noise; they re-derive every draw from the keyed
-substreams, which is what guarantees agreement with the simulator.
+Two builders live here: Euler-path networks, and the full multilevel
+Picard network whose realization equals the recursive estimator pointwise
+under the same frozen sample.  The builders never store raw noise; they
+re-derive every draw from the keyed substreams, which is what guarantees
+agreement with the simulator.
 
 Architecture accounting is exact: ``predict_architecture`` computes the
 resulting width vector symbolically with the same composition/sum/padding
@@ -15,7 +15,7 @@ integer identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -127,99 +127,21 @@ class ProblemNetworks:
 
 
 # ---------------------------------------------------------------------------
-# step chains: x -> x + sum_j c_j branch_j(x), composed over the grid steps
-# ---------------------------------------------------------------------------
-
-def _clip(s: float, lo: float, hi: float) -> float:
-    return min(max(s, lo), hi)
-
-
-def _chain_steps(d: int, depth: int, steps) -> ReluNetwork:
-    """Compose the step networks x -> x + sum_j c_j branch_j(x), first step innermost.
-
-    ``steps`` yields one (coefficients, branches) pair per step; every
-    branch maps R^d -> R^d at the given depth, next to an identity tower.
-    """
-    identity = identity_network(d, depth)
-    result = None
-    for coefs, branches in steps:
-        step = sum_networks([1.0, *coefs], [identity, *branches])
-        result = step if result is None else compose(step, result)
-    return result
-
-
-def _step_bracket(d: int, branch_archs: Sequence[Architecture]) -> Architecture:
-    """Architecture of one step: identity tower plus branches, padded to one depth."""
-    depth = max(len(a) for a in branch_archs)
-    return sum_architecture(
-        [identity_architecture(d, depth), *[extend_architecture(a, depth) for a in branch_archs]]
-    )
-
-
-def _chain_architecture(bracket: Architecture, steps: int) -> Architecture:
-    arch = bracket
-    for _ in range(steps - 1):
-        arch = compose_architecture(bracket, arch)
-    return arch
-
-
-# ---------------------------------------------------------------------------
-# time-recursion networks
-# ---------------------------------------------------------------------------
-
-def build_recursion_network(
-    sigma_family: SigmaNetworkFamily,
-    taus: Sequence[float],
-    noise_values: Sequence,
-    noise_at_query,
-    s: float,
-) -> ReluNetwork:
-    """Network for the recursion g_s(x) = g_floor(x) + sigma(g_floor(x)) * df.
-
-    ``noise_values[k]`` is the driving function at tau_k and
-    ``noise_at_query`` its value at the query time s.  Step k contributes
-    x -> x + sigma(x)[f((s v tau_{k-1}) ^ tau_k) - f(tau_{k-1})], realized
-    as the parallel sum of an identity tower and a direction network, and
-    the K steps compose.  Steps beyond s carry a zero direction, so the
-    architecture never depends on s.
-    """
-    taus = [float(v) for v in taus]
-    if len(taus) < 2:
-        raise NetworkError("need at least one grid step")
-    if any(b < a for a, b in zip(taus, taus[1:])):
-        raise NetworkError("grid times must be nondecreasing")
-    values = [np.asarray(v, dtype=np.float64) for v in noise_values]
-    if len(values) != len(taus):
-        raise NetworkError("need one noise value per grid time")
-    query_value = np.asarray(noise_at_query, dtype=np.float64)
-    d = sigma_family.input_dim
-    depth = len(sigma_family.reference_architecture)
-
-    def value_at(time: float, k: int) -> np.ndarray:
-        if time == taus[k - 1]:
-            return values[k - 1]
-        if time == taus[k]:
-            return values[k]
-        return query_value
-
-    def step(k: int):
-        delta = value_at(_clip(s, taus[k - 1], taus[k]), k) - values[k - 1]
-        return [1.0], [sigma_family(delta)]
-
-    return _chain_steps(d, depth, (step(k) for k in range(1, len(taus))))
-
-
-def recursion_architecture(sigma_arch: Architecture, d: int, steps: int) -> Architecture:
-    return _chain_architecture(_step_bracket(d, [sigma_arch]), steps)
-
-
-# ---------------------------------------------------------------------------
 # Euler networks
 # ---------------------------------------------------------------------------
 
 def euler_architecture(mu_arch: Architecture, sigma_arch: Architecture,
                        d: int, steps: int) -> Architecture:
-    return _chain_architecture(_step_bracket(d, [mu_arch, sigma_arch]), steps)
+    """Architecture of ``steps`` composed step brackets: an identity tower
+    plus the drift and diffusion branches, padded to one depth."""
+    depth = max(len(mu_arch), len(sigma_arch))
+    bracket = sum_architecture([identity_architecture(d, depth),
+                                extend_architecture(mu_arch, depth),
+                                extend_architecture(sigma_arch, depth)])
+    arch = bracket
+    for _ in range(steps - 1):
+        arch = compose_architecture(bracket, arch)
+    return arch
 
 
 def build_euler_network(
@@ -253,17 +175,20 @@ def build_euler_network(
     w_at = {breakpoints[0]: np.zeros(d)}
     acc = np.zeros(d)
     for i in range(len(breakpoints) - 1):
-        acc = acc + noise.increments[i]
+        acc = acc + noise[i]
         w_at[breakpoints[i + 1]] = acc
 
-    def step(k: int):
+    identity = identity_network(d, depth)
+    net = None
+    for k in range(1, len(grid.points)):
         lo = max(grid.points[k - 1], t)
-        hi = _clip(s, lo, max(grid.points[k], t))
+        hi = min(max(s, lo), max(grid.points[k], t))
         dt = hi - lo
         dw = w_at[hi] - w_at[lo] if dt > 0.0 else np.zeros(d)
-        return [dt, 1.0], [mu_ext, extend_depth(sigma_family(dw), depth)]
-
-    return _chain_steps(d, depth, (step(k) for k in range(1, len(grid.points))))
+        step = sum_networks([1.0, dt, 1.0],
+                            [identity, mu_ext, extend_depth(sigma_family(dw), depth)])
+        net = step if net is None else compose(step, net)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +219,6 @@ class ArchitecturePrediction:
     width_bound: int
     param_bound: int
 
-    def satisfied_by(self, arch: Architecture) -> bool:
-        return tuple(arch) == self.architecture
-
 
 def _scale_hidden(arch: Architecture, count: int) -> Architecture:
     """Architecture of the parallel sum of ``count`` copies of ``arch``."""
@@ -317,17 +239,13 @@ def predict_architecture(
 
     The width bound is c_eff * (3M)^n where c_eff majorizes every block
     the construction stacks: the scalar glue (2), f and g widths, the 2d
-    glue at state-dimension junctions, and the Euler step bracket whose
-    hidden widths are the SUM 2d + w_mu + w_sigma of its three branches.
+    glue at state-dimension junctions, and the Euler chain, whose widest
+    layers are its step brackets with hidden widths the SUM
+    2d + w_mu + w_sigma of their three branches.
     """
-    bracket = _step_bracket(d, [mu_arch, sigma_arch])
-    y_arch = _chain_architecture(bracket, steps)
+    y_arch = euler_architecture(mu_arch, sigma_arch, d, steps)
     y_depth = len(y_arch)
     f_depth, g_depth = len(f_arch), len(g_arch)
-
-    def pad_arch(length: int) -> Architecture:
-        return identity_architecture(1, length)
-
     memo: dict[int, Architecture] = {}
 
     def level_arch(level: int) -> Architecture:
@@ -336,31 +254,25 @@ def predict_architecture(
         if level == 0:
             arch = (d,) + (1,) * (y_depth + g_depth - 3) + (1,)
         else:
-            groups: list[tuple[Architecture, int]] = []
-            terminal = compose_architecture(
-                pad_arch(level * (f_depth - 2 + y_depth) + 1),
-                compose_architecture(g_arch, y_arch),
-            )
-            groups.append((terminal, M**level))
+            # the unpadded l = level - 1 correction fixes the common depth
+            depth = len(level_arch(level - 1)) + y_depth - 1 + f_depth - 1
+
+            def correction(sub: Architecture) -> Architecture:
+                core = compose_architecture(sub, y_arch)
+                return compose_architecture(f_arch, extend_architecture(core, depth - f_depth + 1))
+
+            g_pad = extend_architecture(g_arch, depth - y_depth + 1)
+            groups = [(compose_architecture(g_pad, y_arch), M**level)]
             for l in range(level):
-                core = compose_architecture(level_arch(l), y_arch)
-                if l <= level - 2:
-                    core = compose_architecture(
-                        pad_arch((level - 1 - l) * (f_depth - 2 + y_depth) + 1), core
-                    )
-                groups.append((compose_architecture(f_arch, core), M ** (level - l)))
+                groups.append((correction(level_arch(l)), M ** (level - l)))
                 if l >= 1:
-                    prev = compose_architecture(
-                        pad_arch((level - l) * (f_depth - 2 + y_depth) + 1),
-                        compose_architecture(level_arch(l - 1), y_arch),
-                    )
-                    groups.append((compose_architecture(f_arch, prev), M ** (level - l)))
+                    groups.append((correction(level_arch(l - 1)), M ** (level - l)))
             arch = sum_architecture([_scale_hidden(a, count) for a, count in groups])
         memo[level] = arch
         return arch
 
     arch = level_arch(n)
-    c_eff = max(2, 2 * d, max_width(f_arch), max_width(g_arch), max_width(bracket))
+    c_eff = max(2, 2 * d, max_width(f_arch), max_width(g_arch), max_width(y_arch))
     width_bound = c_eff * (3 * M) ** n
     expected_depth = mlp_depth_identity(n, steps, len(mu_arch), len(sigma_arch),
                                         f_depth, g_depth)
@@ -389,9 +301,6 @@ class BuiltMlpNetwork:
     provenance: dict
     prediction: ArchitecturePrediction
 
-    def provenance_json(self) -> dict:
-        return dict(self.provenance)
-
 
 def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
                       t: float) -> BuiltMlpNetwork:
@@ -400,10 +309,11 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
 
     Follows the inductive assembly: terminal g-parts and correction
     f-parts are each composed with an Euler network re-deriving the same
-    draws the estimator consumed, padded by identity towers onto a common
-    depth, and merged by one parallel sum with coefficients
-    1/M^n and +/-(T-t)/M^(n-l).  Builds whose predicted dense parameter
-    count exceeds the guard are rejected up front with a size report.
+    draws the estimator consumed, padded by identity towers (below f, above
+    g) onto the depth identity of their level, and merged by one parallel
+    sum with coefficients 1/M^n and +/-(T-t)/M^(n-l).  Builds whose
+    predicted dense parameter count exceeds the guard are rejected up front
+    with a size report.
     """
     n, M = config.n, config.M
     grid: TimeGrid = config.grid
@@ -434,14 +344,19 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
                                    branch, start, stop)
 
     def build_level(level: int, branch: IndexPath, start: float) -> ReluNetwork:
+        depth = mlp_depth_identity(level, grid.steps, len(mu_arch), len(sigma_arch),
+                                   f_depth, g_depth)
         if level == 0:
-            return zero_network(d, 1, y_depth + g_depth - 1)
+            return zero_network(d, 1, depth)
+
+        def correction(core: ReluNetwork) -> ReluNetwork:
+            return compose(networks.f, extend_depth(core, depth - f_depth + 1))
+
         parts: list[ReluNetwork] = []
         coefs: list[float] = []
-        pad = identity_network(1, level * (f_depth - 2 + y_depth) + 1)
+        g_pad = extend_depth(networks.g, depth - y_depth + 1)
         for i in range(1, M**level + 1):
-            ynet = euler_net(child(branch, 0, -i), start, T)
-            parts.append(compose(pad, compose(networks.g, ynet)))
+            parts.append(compose(g_pad, euler_net(child(branch, 0, -i), start, T)))
             coefs.append(1.0 / M**level)
         for l in range(level):
             weight = (T - start) / M ** (level - l)
@@ -449,27 +364,17 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
                 node = child(branch, l, i)
                 ts = uniform_time(sample, node, start, T)
                 ynet = euler_net(node, start, ts)
-                core = compose(build_level(l, node, ts), ynet)
-                if l <= level - 2:
-                    core = compose(
-                        identity_network(1, (level - 1 - l) * (f_depth - 2 + y_depth) + 1),
-                        core,
-                    )
-                parts.append(compose(networks.f, core))
+                parts.append(correction(compose(build_level(l, node, ts), ynet)))
                 coefs.append(weight)
                 if l >= 1:
-                    prev = compose(build_level(l - 1, child(branch, -l, i), ts), ynet)
-                    prev = compose(
-                        identity_network(1, (level - l) * (f_depth - 2 + y_depth) + 1),
-                        prev,
-                    )
-                    parts.append(compose(networks.f, prev))
+                    prev = build_level(l - 1, child(branch, -l, i), ts)
+                    parts.append(correction(compose(prev, ynet)))
                     coefs.append(-weight)
         return sum_networks(coefs, parts)
 
     net = build_level(n, tuple(path), float(t))
     built_arch = architecture(net)
-    if not prediction.satisfied_by(built_arch):
+    if built_arch != prediction.architecture:
         raise NetworkError(
             f"built architecture {built_arch} diverged from prediction {prediction.architecture}")
     provenance = {

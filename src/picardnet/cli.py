@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample
 from .mlp import ROOT_PATH, MlpConfig, mlp_estimate
 from .nets import architecture, max_width, network_to_dict, param_count, realize
-from .problems import catalog_entry, network_encodings, problem_catalog
+from .problems import catalog_entry, heat_problem, network_encodings, problem_catalog
 from .sde import TimeGrid, uniform_grid
 
 EXIT_OK = 0
@@ -211,13 +213,13 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
         "width": {"actual": max_width(arch), "bound": pred.width_bound},
         "params": {"actual": param_count(built.network), "bound": pred.param_bound},
         "pass": worst <= 1e-8,
-        "provenance": built.provenance_json(),
+        "provenance": built.provenance,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "build_verify.json").write_text(json.dumps(report, indent=2))
     if cfg.get("serialize_network", False):
         payload = {"network": network_to_dict(built.network),
-                   "provenance": built.provenance_json()}
+                   "provenance": built.provenance}
         (out_dir / "network.json").write_text(json.dumps(payload))
     print(json.dumps(report["params"] | {"pass": report["pass"]}, indent=None))
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
@@ -274,10 +276,6 @@ def _sweep_growth(cfg: dict, seed: int, out_dir: Path) -> int:
 
 
 def _sweep_perturbation(cfg: dict, seed: int, out_dir: Path) -> int:
-    from .problems import heat_problem
-    import dataclasses
-    import math
-
     d = cfg.get("dimension", 2)
     base = heat_problem(d=d)
     shifted_mu = 0.05
@@ -287,9 +285,6 @@ def _sweep_perturbation(cfg: dict, seed: int, out_dir: Path) -> int:
     )
     horizon = base.problem.horizon
 
-    def u_base(s, y):
-        return base.reference(s, y)
-
     def u_pert(s, y):
         drift = shifted_mu * (horizon - s) * np.ones(d)
         return float(np.dot(y + drift, y + drift)) + 2 * d * (horizon - s)
@@ -297,7 +292,7 @@ def _sweep_perturbation(cfg: dict, seed: int, out_dir: Path) -> int:
     constants = dataclasses.replace(base.constants,
                                     delta=shifted_mu * math.sqrt(d))
     probes = [(0.0, np.zeros(d))]
-    report = perturbation_check(base.problem, pert, u_base, u_pert, constants,
+    report = perturbation_check(base.problem, pert, base.reference, u_pert, constants,
                                 probes, n_paths=cfg.get("paths", 4000), seed=seed)
     header = ["t", "delta", "sup_estimate", "stderr", "oracle_budget", "inflated",
               "bound", "mean_path_gap", "pass"]

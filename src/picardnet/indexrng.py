@@ -91,40 +91,22 @@ def uniform_time(sample: FrozenSample, path: IndexPath, t: float, horizon: float
     return t + (horizon - t) * uniform01(sample, path)
 
 
-@dataclass(frozen=True)
-class BrownianPath:
+def brownian_path(
+    sample: FrozenSample, path: IndexPath, d: int, breakpoints) -> np.ndarray:
     """Increments of a d-dimensional Brownian motion over fixed breakpoints.
 
-    increments[i] is W(breakpoints[i+1]) - W(breakpoints[i]); values at a
-    breakpoint are prefix sums, and appending later breakpoints never
-    changes earlier increments (draws are consumed in time order).
+    Row i of the (m, d) result is W(breakpoints[i+1]) - W(breakpoints[i]),
+    Gaussian with per-coordinate variance equal to the gap.  Draws are
+    consumed in time order, so appending later breakpoints never changes
+    earlier increments.
     """
-
-    index: IndexPath
-    dimension: int
-    breakpoints: tuple[float, ...]
-    increments: np.ndarray
-
-    def value_at(self, time: float) -> np.ndarray:
-        """W(time) - W(breakpoints[0]), for time among the breakpoints."""
-        for i, b in enumerate(self.breakpoints):
-            if b == time:
-                if i == 0:
-                    return np.zeros(self.dimension)
-                return self.increments[:i].sum(axis=0)
-        raise RngError(f"{time} is not a breakpoint of this path")
-
-
-def brownian_path(
-    sample: FrozenSample, path: IndexPath, d: int, breakpoints) -> BrownianPath:
-    """Gaussian increments with per-coordinate variance equal to the gaps."""
     pts = tuple(float(b) for b in breakpoints)
     for a, b in zip(pts, pts[1:]):
         if b <= a:
             raise RngError("breakpoints must be strictly increasing")
     m = max(len(pts) - 1, 0)
     if m == 0:
-        return BrownianPath(tuple(path), d, pts, np.zeros((0, d)))
+        return np.zeros((0, d))
     z = standard_normals(sample, path, PURPOSE_BROWNIAN, (m, d))
     gaps = np.diff(np.asarray(pts))
-    return BrownianPath(tuple(path), d, pts, np.sqrt(gaps)[:, None] * z)
+    return np.sqrt(gaps)[:, None] * z

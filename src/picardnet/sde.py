@@ -114,5 +114,5 @@ def euler_evaluate(problem, grid: TimeGrid, sample: FrozenSample, path: IndexPat
     breakpoints = effective_breakpoints(grid, t, s)
     if len(breakpoints) > 1:
         noise = brownian_path(sample, path, problem.d, breakpoints)
-        euler_run(problem, breakpoints, states, noise.increments[None], path)
+        euler_run(problem, breakpoints, states, noise[None], path)
     return states[0]

@@ -104,19 +104,22 @@ def test_golden_coupled_paths(names, steps, t, s_values, seed, want):
     assert _sha(*parts) == want
 
 
-# (problem, seed, t, SHA-256 of network_to_json) at n = M = 2, K = 2
+# (problem, seed, t, SHA-256 of network_to_json, n, M) at K = 2; level 3 is the
+# first level whose correction summands are padded by two pad units
 NETWORKS = [
     ("relu-exact", 17, 0.0,
-     "bc1ccb14c143581ece43235151aec5b6b76edcad9a2a428a920b39ca3426af8a"),
+     "bc1ccb14c143581ece43235151aec5b6b76edcad9a2a428a920b39ca3426af8a", 2, 2),
     ("bs-like", 18, 0.25,
-     "ad308d7501419049ef9718f50dbf37ff2d48d83d68303ed3b4f22d81142c0a71"),
+     "ad308d7501419049ef9718f50dbf37ff2d48d83d68303ed3b4f22d81142c0a71", 2, 2),
+    ("bs-like", 19, 0.1,
+     "c08a1d03304f63221ec7ad94eff8d97825f5aec7f85dc8fbfe969a556c8a6714", 3, 2),
 ]
 
 
-@pytest.mark.parametrize("name, seed, t, want", NETWORKS)
-def test_golden_network(name, seed, t, want):
+@pytest.mark.parametrize("name, seed, t, want, n, M", NETWORKS)
+def test_golden_network(name, seed, t, want, n, M):
     problem = catalog_entry(name).problem
-    config = MlpConfig(2, 2, uniform_grid(problem.horizon, 2), FrozenSample(seed))
+    config = MlpConfig(n, M, uniform_grid(problem.horizon, 2), FrozenSample(seed))
     built = build_mlp_network(network_encodings(problem), config, ROOT_PATH, t)
     text = network_to_json(built.network)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want

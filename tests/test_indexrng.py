@@ -13,7 +13,7 @@ SAMPLE = FrozenSample(123456789)
 def test_determinism_bitwise():
     a = brownian_path(SAMPLE, (3, -1, 2), 4, [0.0, 0.25, 1.0])
     b = brownian_path(SAMPLE, (3, -1, 2), 4, [0.0, 0.25, 1.0])
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
     assert uniform01(SAMPLE, (9,)) == uniform01(SAMPLE, (9,))
 
 
@@ -43,7 +43,7 @@ def test_brownian_variance_matches_gap():
     n = 100_000
     t_total = 0.7
     incs = np.array(
-        [brownian_path(SAMPLE, (1, i), 1, [0.0, t_total]).increments[0, 0] for i in range(n)]
+        [brownian_path(SAMPLE, (1, i), 1, [0.0, t_total])[0, 0] for i in range(n)]
     )
     assert abs(incs.var(ddof=1) - t_total) / t_total < 0.02
     assert abs(incs.mean()) <= 3 * math.sqrt(t_total / n)
@@ -51,9 +51,9 @@ def test_brownian_variance_matches_gap():
 
 def test_brownian_empty_and_single_breakpoint():
     p = brownian_path(SAMPLE, (0,), 3, [])
-    assert p.increments.shape == (0, 3)
+    assert p.shape == (0, 3)
     p = brownian_path(SAMPLE, (0,), 3, [0.5])
-    assert p.increments.shape == (0, 3)
+    assert p.shape == (0, 3)
 
 
 def test_brownian_rejects_unsorted():
@@ -78,8 +78,7 @@ def test_sibling_paths_uncorrelated():
 def test_prefix_consistency_when_appending_breakpoints():
     short = brownian_path(SAMPLE, (2, 2), 2, [0.0, 0.3, 0.6])
     long = brownian_path(SAMPLE, (2, 2), 2, [0.0, 0.3, 0.6, 0.9, 1.0])
-    assert np.array_equal(short.increments, long.increments[:2])
-    assert np.array_equal(long.value_at(0.6), short.increments.sum(axis=0))
+    assert np.array_equal(short, long[:2])
 
 
 def test_key_injectivity_million_paths():
