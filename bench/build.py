@@ -10,7 +10,7 @@ every layer, so runs of different source trees can be shown to build the
 same network.  Source trees given together are run alternately, one
 build of each per repeat, so that drift in the machine's load falls on
 all of them alike.  The file keeps every run and, per case and tree, the
-median, minimum and maximum.
+median, the 25th and 75th percentiles, the minimum and the maximum.
 
     python3 bench/build.py parent=PARENT/src change=src
 
@@ -99,7 +99,9 @@ def summarize(runs: list[dict]) -> dict:
     out = {}
     for key in ("build_s", "peak_rss_mb"):
         values = [r[key] for r in runs]
-        out[key] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
+        p25, _, p75 = statistics.quantiles(values, n=4)
+        out[key] = {"median": statistics.median(values), "p25": p25, "p75": p75,
+                    "min": min(values), "max": max(values)}
     for key in ("depth", "dense_params", "network_sha256"):
         seen = {r[key] for r in runs}
         if len(seen) != 1:
@@ -135,7 +137,9 @@ def main(argv=None) -> int:
         "method": (f"{REPEATS} builds per case and tree, each in a fresh process, trees "
                    "alternating within a repeat; build_s is time.perf_counter around "
                    "builder.build_mlp_network (encodings made before it); peak_rss_mb is the "
-                   "child's ru_maxrss right after the build; median, min and max reported"),
+                   "child's ru_maxrss right after the build; median, 25th and 75th "
+                   "percentiles (statistics.quantiles, exclusive method), min and max "
+                   "reported"),
         "cases": cases,
     }
     with open("BENCH_build.json", "w", encoding="ascii") as fh:

@@ -62,6 +62,7 @@ from .nets import (
     architecture,
     compose,
     compose_architecture,
+    compose_chain,
     extend_depth,
     identity_architecture,
     identity_network,

@@ -28,6 +28,7 @@ from .nets import (
     architecture,
     compose,
     compose_architecture,
+    compose_chain,
     extend_architecture,
     extend_depth,
     identity_architecture,
@@ -160,7 +161,9 @@ def build_euler_network(
     x -> x + dt * mu(x) + sigma(x) dW.  Each of the K grid intervals
     contributes one step regardless of (t, s): intervals outside [t, s]
     get a zero increment, so the architecture is (t, s, theta)-invariant
-    with depth K * (max coefficient depth - 1) + 1.
+    with depth K * (max coefficient depth - 1) + 1.  Those dead intervals
+    (dt = 0, dW = 0) all share one step bracket, built at most once per
+    call, and the K brackets are composed in one ``compose_chain``.
     """
     if not t <= s <= grid.horizon:
         raise NetworkError(f"need t <= s <= horizon, got t={t}, s={s}")
@@ -179,16 +182,24 @@ def build_euler_network(
         w_at[breakpoints[i + 1]] = acc
 
     identity = identity_network(d, depth)
-    net = None
+
+    def bracket(dt: float, dw: np.ndarray) -> ReluNetwork:
+        return sum_networks([1.0, dt, 1.0],
+                            [identity, mu_ext, extend_depth(sigma_family(dw), depth)])
+
+    dead = None
+    steps = []
     for k in range(1, len(grid.points)):
         lo = max(grid.points[k - 1], t)
         hi = min(max(s, lo), max(grid.points[k], t))
         dt = hi - lo
-        dw = w_at[hi] - w_at[lo] if dt > 0.0 else np.zeros(d)
-        step = sum_networks([1.0, dt, 1.0],
-                            [identity, mu_ext, extend_depth(sigma_family(dw), depth)])
-        net = step if net is None else compose(step, net)
-    return net
+        if dt > 0.0:
+            steps.append(bracket(dt, w_at[hi] - w_at[lo]))
+        else:
+            if dead is None:
+                dead = bracket(dt, np.zeros(d))
+            steps.append(dead)
+    return compose_chain(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,11 @@ def generator(sample: FrozenSample, path: IndexPath, purpose: bytes) -> np.rando
 
 def _uniform_open01(gen: np.random.Generator, shape) -> np.ndarray:
     # 53 significant bits, centered in (0, 1) so the inverse CDF never sees 0 or 1.
+    # The top value (2**53 - 1) + 0.5 rounds to 2**53, so it is clamped to the
+    # largest double below 1.
     raw = gen.integers(0, 2**64, size=shape, dtype=np.uint64)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53)
 
 
 def standard_normals(sample: FrozenSample, path: IndexPath, purpose: bytes, shape) -> np.ndarray:

@@ -11,12 +11,18 @@ Layer arrays are read-only, so networks share them: a composition, sum
 or padding stores the layers it inherits as they are and allocates only
 the layers it changes.  The public ``ReluNetwork`` constructor copies the
 arrays it is given once, so nothing a caller holds aliases a network.
+
+Every network carries its width vector (``widths``), read off the layer
+shapes once when it is made, so the architecture identities each
+construction checks never re-walk an operand's layers.  A chain of
+compositions is assembled once by ``compose_chain``, not one binary
+``compose`` at a time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,20 +41,24 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
-def _check_layers(layers) -> None:
+def _check_layers(layers) -> Architecture:
+    """Check that the layers link up; return their width vector."""
     if len(layers) < 2:
         raise NetworkError("a network needs at least one hidden layer")
-    prev_rows = None
+    widths: list[int] = []
     for idx, (w, b) in enumerate(layers):
         if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
             raise NetworkError(f"layer {idx}: weight {w.shape} / bias {b.shape} mismatch")
         if w.shape[0] < 1 or w.shape[1] < 1:
             raise NetworkError(f"layer {idx}: zero-sized layer")
-        if prev_rows is not None and w.shape[1] != prev_rows:
+        if not widths:
+            widths.append(w.shape[1])
+        elif w.shape[1] != widths[-1]:
             raise NetworkError(
-                f"layer {idx}: expects {w.shape[1]} inputs, previous layer emits {prev_rows}"
+                f"layer {idx}: expects {w.shape[1]} inputs, previous layer emits {widths[-1]}"
             )
-        prev_rows = w.shape[0]
+        widths.append(w.shape[0])
+    return tuple(widths)
 
 
 @dataclass(frozen=True)
@@ -57,28 +67,30 @@ class ReluNetwork:
 
     Weight n has shape (k_n, k_{n-1}) and bias n has shape (k_n,); the
     hidden-layer count is len(layers) - 1 and must be at least one.  The
-    constructor stores read-only copies of the arrays it is given.
+    constructor stores read-only copies of the arrays it is given, and
+    ``widths`` holds the width vector (k_0, ..., k_{H+1}) of those layers.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    widths: Architecture = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         layers = tuple((_freeze(w), _freeze(b)) for w, b in self.layers)
-        _check_layers(layers)
+        object.__setattr__(self, "widths", _check_layers(layers))
         object.__setattr__(self, "layers", layers)
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.widths[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
+        return self.widths[-1]
 
     @property
     def depth(self) -> int:
         """Number of entries of the width vector (input + hidden + output)."""
-        return len(self.layers) + 1
+        return len(self.widths)
 
 
 def _assemble(layers) -> ReluNetwork:
@@ -91,18 +103,17 @@ def _assemble(layers) -> ReluNetwork:
     layers = tuple(layers)
     for pair in layers:
         for a in pair:
-            a.setflags(write=False)
-    _check_layers(layers)
+            if a.flags.writeable:
+                a.setflags(write=False)
     net = object.__new__(ReluNetwork)
+    object.__setattr__(net, "widths", _check_layers(layers))
     object.__setattr__(net, "layers", layers)
     return net
 
 
 def architecture(net: ReluNetwork) -> Architecture:
-    """Width vector (k_0, ..., k_{H+1}) read off the layer shapes."""
-    widths = [net.input_dim]
-    widths.extend(w.shape[0] for w, _ in net.layers)
-    return tuple(widths)
+    """Width vector (k_0, ..., k_{H+1}), stored when the network was made."""
+    return net.widths
 
 
 def param_count(net: ReluNetwork) -> int:
@@ -228,21 +239,47 @@ def affine_network(w: Sequence[Sequence[float]], b: Sequence[float], depth: int 
 def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
     """Exact composition: realize(result, x) == realize(outer, realize(inner, x)).
 
-    The inner network's last affine layer is duplicated with both signs so
-    the glue hidden layer carries (y+, (-y)+); the outer network's first
-    affine map is pre-multiplied by [I, -I] to reconstruct y before acting.
+    The two-network case of ``compose_chain``, with the same glue layers.
+    Longer chains, such as an Euler network whose dead intervals all share
+    one step bracket, go to ``compose_chain`` whole.
     """
-    if inner.output_dim != outer.input_dim:
-        raise NetworkError(
-            f"composition mismatch: inner emits {inner.output_dim}, outer expects {outer.input_dim}"
-        )
-    w_last, b_last = inner.layers[-1]
-    glue_in = (np.vstack([w_last, -w_last]), np.concatenate([b_last, -b_last]))
-    a_first, a_bias = outer.layers[0]
-    glue_out = (np.hstack([a_first, -a_first]), a_bias)
-    layers = inner.layers[:-1] + (glue_in, glue_out) + outer.layers[1:]
+    return compose_chain([inner, outer])
+
+
+def compose_chain(nets: Sequence[ReluNetwork]) -> ReluNetwork:
+    """Exact composition of a chain: the result realizes
+    x -> nets[-1](...nets[1](nets[0](x))).
+
+    At every seam the inner network's last affine layer is duplicated with
+    both signs, so the glue hidden layer carries (y+, (-y)+), and the outer
+    network's first affine map is pre-multiplied by [I, -I] to reconstruct
+    y before acting.  The whole chain is assembled once; its layers equal
+    those of the binary compositions folded along it, because composition
+    is layer-associative.  A network may appear more than once (an Euler
+    chain repeats one bracket for all its dead intervals): its layers are
+    read-only and shared.
+    """
+    if not nets:
+        raise NetworkError("need at least one network to compose")
+    if len(nets) == 1:
+        return nets[0]
+    layers = list(nets[0].layers[:-1])
+    arch = nets[0].widths
+    for inner, outer in zip(nets, nets[1:]):
+        if inner.output_dim != outer.input_dim:
+            raise NetworkError(
+                f"composition mismatch: inner emits {inner.output_dim}, "
+                f"outer expects {outer.input_dim}"
+            )
+        w_last, b_last = inner.layers[-1]
+        a_first, a_bias = outer.layers[0]
+        layers.append((np.vstack([w_last, -w_last]), np.concatenate([b_last, -b_last])))
+        layers.append((np.hstack([a_first, -a_first]), a_bias))
+        layers.extend(outer.layers[1:-1])
+        arch = compose_architecture(outer.widths, arch)
+    layers.append(nets[-1].layers[-1])
     net = _assemble(layers)
-    if architecture(net) != compose_architecture(architecture(outer), architecture(inner)):
+    if net.widths != arch:
         raise NetworkError("composed architecture breaks the composition identity")
     return net
 
@@ -290,7 +327,7 @@ def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> 
         b_fin = b_fin + float(h) * net.layers[-1][1]
     layers.append((w_fin, b_fin))
     net = _assemble(layers)
-    if architecture(net) != sum_architecture([architecture(n) for n in nets]):
+    if net.widths != sum_architecture([n.widths for n in nets]):
         raise NetworkError("summed architecture breaks the sum identity")
     return net
 

@@ -144,7 +144,8 @@ def test_depth_width_params_over_build_grid(relu_entry, ode_entry, bs_entry):
                 for M in (1, 2):
                     cfg = MlpConfig(n, M, grid, SAMPLE)
                     built = build_mlp_network(nets, cfg, ROOT_PATH, 0.25)
-                    arch = architecture(built.network)
+                    layers = built.network.layers
+                    arch = (layers[0][0].shape[1], *(w.shape[0] for w, _ in layers))
                     pred = built.prediction
                     assert arch == pred.architecture
                     assert len(arch) == mlp_depth_identity(

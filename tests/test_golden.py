@@ -24,6 +24,7 @@ from picardnet import (
     uniform_grid,
 )
 from picardnet.analysis import coupled_paths, simulate_terminal_batch
+from picardnet.builder import build_euler_network
 
 # the point 0.5 is repeated: the zero-length step must consume no randomness
 REPEATED = TimeGrid((0.0, 0.25, 0.5, 0.5, 1.0))
@@ -122,4 +123,23 @@ def test_golden_network(name, seed, t, want, n, M):
     config = MlpConfig(n, M, uniform_grid(problem.horizon, 2), FrozenSample(seed))
     built = build_mlp_network(network_encodings(problem), config, ROOT_PATH, t)
     text = network_to_json(built.network)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+# (problem, SHA-256 of network_to_json) of one Euler network at d = 2, K = 8,
+# seed 0, from t = 0.3 to s = 0.6: three live steps between dead intervals on
+# both sides; relu-exact has a constant sigma family, bs-like a linear one
+EULER_NETWORKS = [
+    ("relu-exact", "915e600e04d7ae5b7cce822c44d121422a75e30436f6a54539cc83c4d4fb1d6d"),
+    ("bs-like", "e6daf9e9aac907acee9d45d1f3e8a971c259ddc7cfcbb743c3690292b779e257"),
+]
+
+
+@pytest.mark.parametrize("name, want", EULER_NETWORKS)
+def test_golden_euler_network(name, want):
+    problem = catalog_entry(name, d=2).problem
+    encodings = network_encodings(problem)
+    net = build_euler_network(encodings.mu, encodings.sigma, uniform_grid(problem.horizon, 8),
+                              FrozenSample(0), ROOT_PATH, 0.3, 0.6)
+    text = network_to_json(net)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want

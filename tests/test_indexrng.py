@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import ndtri
 
 from picardnet import FrozenSample, brownian_path, child, standard_normals, uniform01, uniform_time
-from picardnet.indexrng import PURPOSE_BROWNIAN, RngError, derive_key
+from picardnet.indexrng import PURPOSE_BROWNIAN, RngError, _uniform_open01, derive_key
 
 SAMPLE = FrozenSample(123456789)
 
@@ -15,6 +16,23 @@ def test_determinism_bitwise():
     b = brownian_path(SAMPLE, (3, -1, 2), 4, [0.0, 0.25, 1.0])
     assert np.array_equal(a, b)
     assert uniform01(SAMPLE, (9,)) == uniform01(SAMPLE, (9,))
+
+
+class _ConstantWords:
+    """Stands in for a generator whose every raw 64-bit word is ``word``."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, self.word, dtype=dtype)
+
+
+def test_uniform_stays_inside_open_unit_interval_at_extreme_words():
+    top = _uniform_open01(_ConstantWords(2**64 - 1), (3,))
+    assert np.all(top < 1.0) and np.all(np.isfinite(ndtri(top)))
+    bottom = _uniform_open01(_ConstantWords(0), (3,))
+    assert np.all(bottom > 0.0) and np.all(np.isfinite(ndtri(bottom)))
 
 
 def test_uniform_time_endpoint_and_affine_map():

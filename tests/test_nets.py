@@ -12,6 +12,7 @@ from picardnet import (
     architecture,
     compose,
     compose_architecture,
+    compose_chain,
     extend_depth,
     identity_architecture,
     identity_network,
@@ -68,6 +69,10 @@ def _stored_arrays(net):
     return [a for layer in net.layers for a in layer]
 
 
+def _shape_widths(net):
+    return (net.layers[0][0].shape[1], *(w.shape[0] for w, _ in net.layers))
+
+
 def test_compose_shares_inherited_layers(rng):
     outer, inner = random_network(rng, 3, 2, 4), random_network(rng, 2, 3, 4)
     net = compose(outer, inner)
@@ -85,12 +90,53 @@ def test_every_stored_array_is_read_only(rng):
         sum_networks([1.0, -2.0], [a, b]), extend_depth(a, 5), extend_depth(a, 7),
         identity_network(2, 4), zero_network(2, 3, 4), affine_network([[1.0, 2.0]], [0.5], 4),
         network_from_json(network_to_json(a)),
+        compose_chain([identity_network(2, 3), identity_network(2, 4), a]),
     ]
     for net in nets:
+        assert net.widths == _shape_widths(net)
         for arr in _stored_arrays(net):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_compose_chain_equals_folded_compose_and_shares_layers(rng, count):
+    dims = (2, 3, 3, 3, 1)[: count + 1]
+    depths = (4, 3, 5, 3)
+    nets = [random_network(rng, dims[i], dims[i + 1], depths[i]) for i in range(count)]
+    if count == 4:
+        nets[2] = nets[1]  # a repeated link, as an Euler chain repeats its dead bracket
+    chain = compose_chain(nets)
+    folded = nets[0]
+    for net in nets[1:]:
+        folded = compose(net, folded)
+    assert len(chain.layers) == len(folded.layers)
+    for (w1, b1), (w2, b2) in zip(chain.layers, folded.layers):
+        assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+    assert chain.widths == folded.widths == _shape_widths(chain)
+    # inherited arrays are shared: every link's inner layers and glue-out bias
+    pos = len(nets[0].layers) - 1
+    for mine, theirs in zip(chain.layers[:pos], nets[0].layers[:-1]):
+        assert mine[0] is theirs[0] and mine[1] is theirs[1]
+    for outer in nets[1:]:
+        assert chain.layers[pos + 1][1] is outer.layers[0][1]
+        pos += 2
+        for theirs in outer.layers[1:-1]:
+            assert chain.layers[pos][0] is theirs[0] and chain.layers[pos][1] is theirs[1]
+            pos += 1
+    assert chain.layers[pos] is nets[-1].layers[-1] and pos == len(chain.layers) - 1
+
+
+@pytest.mark.parametrize("seam", [0, 1, 2])
+def test_compose_chain_rejects_a_mismatch_at_any_seam(rng, seam):
+    dims = [2, 3, 1, 2, 2]
+    nets = [random_network(rng, dims[i], dims[i + 1], 3) for i in range(4)]
+    nets[seam + 1] = random_network(rng, dims[seam + 1] + 1, dims[seam + 2], 3)
+    with pytest.raises(NetworkError):
+        compose_chain(nets)
+    with pytest.raises(NetworkError):
+        compose_chain([])
 
 
 def test_constructor_copies_its_inputs(rng):
