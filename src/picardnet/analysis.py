@@ -382,8 +382,6 @@ class GrowthRecipe:
     name: str
     c: float
     horizon: float
-    B: float
-    p_size: float
     rate_constant: Callable[[int], float]
     delta_of: Callable[[int, float], float]
     max_level: int = 60
@@ -423,11 +421,10 @@ def paper_growth_recipe(q: float = 2.0, b: float = 1.0, c: float = 1.0,
     def delta_of(d: int, eps: float) -> float:
         return eps / (4.0 * B * d**p_size * rate_constant(d))
 
-    return GrowthRecipe("paper", c, horizon, B, p_size, rate_constant, delta_of)
+    return GrowthRecipe("paper", c, horizon, rate_constant, delta_of)
 
 
-def desk_growth_recipe(c: float = 1.0, horizon: float = 1.0, B: float = 16.0,
-                       p_size: float = 1.0, scale: float = 1e-6,
+def desk_growth_recipe(c: float = 1.0, horizon: float = 1.0, scale: float = 1e-6,
                        d_power: float = 0.5, delta_ratio: float = 10.0) -> GrowthRecipe:
     """Same rate/deviation shapes with buildable constants.
 
@@ -436,7 +433,7 @@ def desk_growth_recipe(c: float = 1.0, horizon: float = 1.0, B: float = 16.0,
     scale would make the deviation target meaninglessly large or small).
     """
     return GrowthRecipe(
-        "desk", c, horizon, B, p_size,
+        "desk", c, horizon,
         lambda d: scale * d**d_power,
         lambda d, eps: eps / delta_ratio,
     )

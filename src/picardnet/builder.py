@@ -4,7 +4,9 @@ Two builders live here: Euler-path networks, and the full multilevel
 Picard network whose realization equals the recursive estimator pointwise
 under the same frozen sample.  The builders never store raw noise; they
 re-derive every draw from the keyed substreams, which is what guarantees
-agreement with the simulator.
+agreement with the simulator.  The Picard network walks the index tree
+that ``mlp`` owns (``picard_branches`` for the keys, ``sample_sizes`` for
+the counts), so it consumes exactly the estimator's substreams.
 
 Architecture accounting is exact: ``predict_architecture`` computes the
 resulting width vector symbolically with the same composition/sum/padding
@@ -19,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .indexrng import FrozenSample, IndexPath, child, uniform_time
+from .indexrng import FrozenSample, IndexPath, uniform_time
+from .mlp import picard_branches, sample_sizes
 from .nets import (
     Architecture,
     NetworkError,
@@ -136,13 +139,12 @@ def euler_architecture(mu_arch: Architecture, sigma_arch: Architecture,
     """Architecture of ``steps`` composed step brackets: an identity tower
     plus the drift and diffusion branches, padded to one depth."""
     depth = max(len(mu_arch), len(sigma_arch))
-    bracket = sum_architecture([identity_architecture(d, depth),
-                                extend_architecture(mu_arch, depth),
-                                extend_architecture(sigma_arch, depth)])
-    arch = bracket
-    for _ in range(steps - 1):
-        arch = compose_architecture(bracket, arch)
-    return arch
+    b = sum_architecture([identity_architecture(d, depth),
+                          extend_architecture(mu_arch, depth),
+                          extend_architecture(sigma_arch, depth)])
+    # closed form of folding compose_architecture(b, ...) over the steps:
+    # every seam merges b's output and input layers into one glue layer
+    return b[:-1] + ((b[-1] + b[0],) + b[1:-1]) * (steps - 1) + (b[-1],)
 
 
 def build_euler_network(
@@ -273,11 +275,12 @@ def predict_architecture(
                 return compose_architecture(f_arch, extend_architecture(core, depth - f_depth + 1))
 
             g_pad = extend_architecture(g_arch, depth - y_depth + 1)
-            groups = [(compose_architecture(g_pad, y_arch), M**level)]
-            for l in range(level):
-                groups.append((correction(level_arch(l)), M ** (level - l)))
+            sizes = sample_sizes(level, M)
+            groups = [(compose_architecture(g_pad, y_arch), sizes[0])]
+            for l, size in enumerate(sizes):
+                groups.append((correction(level_arch(l)), size))
                 if l >= 1:
-                    groups.append((correction(level_arch(l - 1)), M ** (level - l)))
+                    groups.append((correction(level_arch(l - 1)), size))
             arch = sum_architecture([_scale_hidden(a, count) for a, count in groups])
         memo[level] = arch
         return arch
@@ -363,23 +366,19 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
         def correction(core: ReluNetwork) -> ReluNetwork:
             return compose(networks.f, extend_depth(core, depth - f_depth + 1))
 
-        parts: list[ReluNetwork] = []
-        coefs: list[float] = []
+        terminal, groups = picard_branches(branch, level, M)
         g_pad = extend_depth(networks.g, depth - y_depth + 1)
-        for i in range(1, M**level + 1):
-            parts.append(compose(g_pad, euler_net(child(branch, 0, -i), start, T)))
-            coefs.append(1.0 / M**level)
-        for l in range(level):
-            weight = (T - start) / M ** (level - l)
-            for i in range(1, M ** (level - l) + 1):
-                node = child(branch, l, i)
-                ts = uniform_time(sample, node, start, T)
-                ynet = euler_net(node, start, ts)
-                parts.append(correction(compose(build_level(l, node, ts), ynet)))
+        parts = [compose(g_pad, euler_net(key, start, T)) for key in terminal]
+        coefs = [1.0 / len(terminal)] * len(terminal)
+        for l, group in enumerate(groups):
+            weight = (T - start) / len(group)
+            for key, partner in group:
+                ts = uniform_time(sample, key, start, T)
+                ynet = euler_net(key, start, ts)
+                parts.append(correction(compose(build_level(l, key, ts), ynet)))
                 coefs.append(weight)
-                if l >= 1:
-                    prev = build_level(l - 1, child(branch, -l, i), ts)
-                    parts.append(correction(compose(prev, ynet)))
+                if partner is not None:
+                    parts.append(correction(compose(build_level(l - 1, partner, ts), ynet)))
                     coefs.append(-weight)
         return sum_networks(coefs, parts)
 

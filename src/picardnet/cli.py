@@ -5,7 +5,9 @@ schema (unknown keys are rejected); outputs are CSV files with '.'
 decimals, LF line endings and 17-significant-digit floats, plus JSON
 summaries, so reruns with the same config and seed are byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 resource guard, 4 a check ran
+Exit codes: 0 success, 2 config error (including a bad time grid, and
+the cost guard: a config whose predicted estimator work exceeds
+``WORK_GUARD`` runs only with --force), 3 resource guard, 4 a check ran
 and failed, 5 internal error (any other exception, such as a non-finite
 simulated state, NumericFailure; the message names the exception type).
 """
@@ -34,10 +36,10 @@ from .analysis import (
 )
 from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample
-from .mlp import ROOT_PATH, MlpConfig, mlp_estimate
+from .mlp import ROOT_PATH, MlpConfig, mlp_estimate, predict_work
 from .nets import architecture, max_width, network_to_dict, param_count, realize
 from .problems import catalog_entry, heat_problem, network_encodings, problem_catalog
-from .sde import TimeGrid, uniform_grid
+from .sde import SimulationError, TimeGrid, uniform_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,7 +47,14 @@ EXIT_RESOURCE = 3
 EXIT_CHECK_FAILED = 4
 EXIT_INTERNAL = 5
 
-LEVEL_GUARD = 6  # n = M at or above this refuses to run without --force
+# Cost of one estimate in Euler path-steps: each path-step (every path is
+# priced at the full grid), each grid step (the grid is built once per run)
+# and SUBSTREAM_PATH_STEPS per keyed substream.  Measured on a 2-CPU Xeon
+# at relu-exact d=2, n=M=4 on 1, 8 and 64 steps: about 90-100 us per
+# substream and 4.5-5.5 us per path-step.  WORK_GUARD, about 90 s there,
+# admits n=M=5 on 8 steps and n=M=4 on its default 256-step grid.
+SUBSTREAM_PATH_STEPS = 20
+WORK_GUARD = 20_000_000
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -69,12 +78,13 @@ CONFIG_SCHEMA = {
         "time_grid": {
             "type": "object",
             "additionalProperties": False,
+            "minProperties": 1,
+            "maxProperties": 1,
             "properties": {
                 "uniform_steps": {"type": "integer", "minimum": 1},
                 "points": {"type": "array", "items": {"type": "number"}},
             },
         },
-        "seed": {"type": "integer", "minimum": 0},
         "t": {"type": "number", "minimum": 0},
         "probes": {
             "type": "array",
@@ -136,13 +146,22 @@ def _entry(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def _time_grid(cfg: dict, horizon: float, M: int) -> TimeGrid:
-    spec = cfg.get("time_grid")
-    if spec is None:
-        return uniform_grid(horizon, M**M)
+def _grid_steps(cfg: dict, M: int) -> int:
+    """Steps of a run's Euler grid, read from the config without building it."""
+    spec = cfg.get("time_grid", {})
     if "points" in spec:
-        return TimeGrid(tuple(spec["points"]))
-    return uniform_grid(horizon, spec["uniform_steps"])
+        return len(spec["points"]) - 1
+    return spec.get("uniform_steps", M**M)
+
+
+def _time_grid(cfg: dict, horizon: float, M: int) -> TimeGrid:
+    spec = cfg.get("time_grid", {})
+    try:
+        if "points" in spec:
+            return TimeGrid(tuple(spec["points"]))
+        return uniform_grid(horizon, _grid_steps(cfg, M))
+    except SimulationError as exc:
+        raise ConfigError(f"time_grid: {exc}") from exc
 
 
 def _probes(cfg: dict, d: int) -> list[np.ndarray]:
@@ -156,13 +175,19 @@ def _probes(cfg: dict, d: int) -> list[np.ndarray]:
     return out
 
 
-def _guard_levels(cfg: dict, force: bool) -> None:
-    levels = [(cfg.get("n", 0), cfg.get("M", 1))]
-    levels.extend(tuple(pair) for pair in cfg.get("level_grid", []))
-    for n, M in levels:
-        if n == M and n >= LEVEL_GUARD and not force:
+def _guard_work(cfg: dict) -> None:
+    """Refuse every (n, M) the config names whose predicted cost exceeds WORK_GUARD."""
+    pairs = [(cfg.get("n", 0), cfg.get("M", 1))]
+    pairs.extend(tuple(pair) for pair in cfg.get("level_grid", []))
+    for n, M in pairs:
+        paths, substreams = predict_work(n, M)
+        steps = _grid_steps(cfg, M)
+        cost = (paths + 1) * steps + SUBSTREAM_PATH_STEPS * substreams
+        if cost > WORK_GUARD:
             raise ConfigError(
-                f"n = M = {n} exceeds the cost guard (>= {LEVEL_GUARD}); pass --force"
+                f"n={n}, M={M} predicts {paths} Euler paths and {substreams} substreams "
+                f"on {steps} grid steps, {cost} path-steps over the cost guard "
+                f"{WORK_GUARD}; pass --force"
             )
 
 
@@ -232,6 +257,7 @@ def _sweep_fullerror(cfg: dict, seed: int, out_dir: Path) -> int:
     report = fullerror_check(
         entry.problem, entry.reference, entry.constants, pairs,
         cfg.get("t", 0.0), probes[0], seeds=cfg.get("seeds", 30), base_seed=seed,
+        grid_fn=lambda M: _time_grid(cfg, entry.problem.horizon, M),
     )
     header = ["n", "M", "delta", "reference", "rmse", "bound", "ratio", "pass"]
     write_csv(out_dir / "fullerror.csv", header,
@@ -323,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--force", action="store_true",
-                        help="lift the n = M cost guard")
+                        help="lift the cost guard on predicted estimator work")
     return parser
 
 
@@ -338,7 +364,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
-        _guard_levels(cfg, args.force)
+        if not args.force:
+            _guard_work(cfg)
         out_dir = Path(args.out)
         if args.command == "solve":
             return cmd_solve(cfg, args.seed, out_dir)

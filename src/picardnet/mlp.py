@@ -6,6 +6,11 @@ estimates are re-evaluated recursively.  All randomness is keyed by
 integer index paths, so a second evaluation with the same frozen sample
 reproduces the estimate bit for bit, and an independently constructed
 network consuming the same draws can match it pointwise.
+
+This module owns that index tree: ``sample_sizes`` gives a node's sample
+sizes and ``picard_branches`` its keys.  The estimator here and the
+network builder both walk the tree through them, and ``predict_work``
+counts the Euler paths and keyed substreams one estimate consumes.
 """
 
 from __future__ import annotations
@@ -85,30 +90,77 @@ def mlp_estimate(problem: SemilinearProblem, config: MlpConfig, path: IndexPath,
     return _estimate(problem, config, tuple(path), float(t), x, n)
 
 
+def sample_sizes(level: int, M: int) -> list[int]:
+    """Sample sizes of a level-``level`` node of the Picard tree.
+
+    Entry l is M^(level - l), the number of its level-l branches; entry 0,
+    M^level, is also the number of its terminal paths.  A level-0 node is
+    the zero estimator and has no samples.
+    """
+    return [M ** (level - l) for l in range(level)]
+
+
+Branch = tuple[IndexPath, Optional[IndexPath]]
+
+
+def picard_branches(path: IndexPath, level: int,
+                    M: int) -> tuple[list[IndexPath], list[list[Branch]]]:
+    """Keys of the node at ``path``: its terminal paths and branch groups.
+
+    Terminal path i is keyed (path, 0, -i).  Group l (for l < level) holds
+    M^(level - l) branches (key, partner): the level-l estimate re-runs
+    under key (path, l, i) and the level-(l-1) estimate under its partner
+    (path, -l, i), or ``None`` for l = 0.  The key also names the branch's
+    sampled time and its Euler path.  Pure: derives no draws.
+    """
+    sizes = sample_sizes(level, M)
+    terminal = [child(path, 0, -i) for i in range(1, sizes[0] + 1)] if sizes else []
+    groups = [[(child(path, l, i), child(path, -l, i) if l else None)
+               for i in range(1, size + 1)]
+              for l, size in enumerate(sizes)]
+    return terminal, groups
+
+
+def predict_work(n: int, M: int) -> tuple[int, int]:
+    """(Euler paths, keyed substreams) one level-n estimate at t < T consumes.
+
+    A node draws one Brownian substream per terminal path, and one uniform
+    time plus one Brownian substream per branch, then recurses into the
+    branch's level-l and level-(l-1) estimates.
+    """
+    paths, streams = [0], [0]
+    for level in range(1, n + 1):
+        sizes = sample_sizes(level, M)
+        p = s = sizes[0]
+        for l, size in enumerate(sizes):
+            p += size * (1 + paths[l] + (paths[l - 1] if l else 0))
+            s += size * (2 + streams[l] + (streams[l - 1] if l else 0))
+        paths.append(p)
+        streams.append(s)
+    return paths[n], streams[n]
+
+
 def _estimate(problem, config, path, t, x, level) -> float:
     if level <= 0:
         return 0.0
-    M = config.M
     T = problem.horizon
-    count_terminal = M**level
+    terminal, groups = picard_branches(path, level, config.M)
     total = 0.0
-    for i in range(1, count_terminal + 1):
-        y = euler_evaluate(problem, config.grid, config.sample, child(path, 0, -i), t, x, T)
+    for key in terminal:
+        y = euler_evaluate(problem, config.grid, config.sample, key, t, x, T)
         total += float(problem.g(y))
-    acc = total / count_terminal
-    for l in range(level):
-        count = M ** (level - l)
+    acc = total / len(terminal)
+    for l, group in enumerate(groups):
         block = 0.0
-        for i in range(1, count + 1):
-            branch = child(path, l, i)
-            ts = uniform_time(config.sample, branch, t, T)
-            y = euler_evaluate(problem, config.grid, config.sample, branch, t, x, ts)
-            value = float(problem.f(_estimate(problem, config, branch, ts, y, l)))
-            if l >= 1:
-                other = _estimate(problem, config, child(path, -l, i), ts, y, l - 1)
+        for key, partner in group:
+            ts = uniform_time(config.sample, key, t, T)
+            y = euler_evaluate(problem, config.grid, config.sample, key, t, x, ts)
+            value = float(problem.f(_estimate(problem, config, key, ts, y, l)))
+            if partner is not None:
+                other = _estimate(problem, config, partner, ts, y, l - 1)
                 value -= float(problem.f(other))
             block += value
-        acc += (T - t) / count * block
+        acc += (T - t) / len(group) * block
     if not math.isfinite(acc):
         raise NumericFailure("estimate non-finite", path)
     return acc

@@ -375,29 +375,23 @@ def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
                              note=f"picard oracle n={n}, M={M}, {seeds} seeds")
 
 
+_FACTORIES = {
+    "ode-exp": ode_exp_problem,
+    "heat": heat_problem,
+    "relu-exact": relu_exact_problem,
+    "bs-like": bs_like_problem,
+}
+
+
 def problem_catalog() -> dict[str, CatalogEntry]:
     """Name-addressable catalog used by the library, tests and the CLI."""
-    return {
-        entry.name: entry
-        for entry in (
-            ode_exp_problem(),
-            heat_problem(),
-            relu_exact_problem(),
-            bs_like_problem(),
-        )
-    }
+    return {name: factory() for name, factory in _FACTORIES.items()}
 
 
 def catalog_entry(name: str, **overrides) -> CatalogEntry:
-    factories = {
-        "ode-exp": ode_exp_problem,
-        "heat": heat_problem,
-        "relu-exact": relu_exact_problem,
-        "bs-like": bs_like_problem,
-    }
-    if name not in factories:
-        raise KeyError(f"unknown problem {name!r}; known: {sorted(factories)}")
-    return factories[name](**overrides)
+    if name not in _FACTORIES:
+        raise KeyError(f"unknown problem {name!r}; known: {sorted(_FACTORIES)}")
+    return _FACTORIES[name](**overrides)
 
 
 def network_encodings(problem: SemilinearProblem,

@@ -247,7 +247,7 @@ def test_fullerror_bound_monotone_in_delta(ode_entry):
 # ---------------------------------------------------------------------------
 
 def test_recipe_level_is_minimal():
-    recipe = GrowthRecipe("synthetic", c=1.0, horizon=0.25, B=16.0, p_size=1.0,
+    recipe = GrowthRecipe("synthetic", c=1.0, horizon=0.25,
                           rate_constant=lambda d: 0.01,
                           delta_of=lambda d, eps: eps / 10.0)
 

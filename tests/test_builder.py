@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,12 @@ from picardnet import (
     uniform_grid,
 )
 from picardnet.builder import BuildSizeError, PARAM_GUARD
-from picardnet.nets import compose_architecture, identity_architecture, sum_architecture
+from picardnet.nets import (
+    compose_architecture,
+    extend_architecture,
+    identity_architecture,
+    sum_architecture,
+)
 from picardnet.problems import catalog_entry, network_encodings
 
 SAMPLE = FrozenSample(777)
@@ -214,9 +221,42 @@ def test_provenance_payload(relu_entry):
 
 
 def test_compose_architecture_chain_matches_euler():
-    arch = euler_architecture((1, 2, 1), (1, 3, 1), 1, 3)
-    bracket = sum_architecture([identity_architecture(1, 3), (1, 2, 1), (1, 3, 1)])
-    manual = bracket
-    for _ in range(2):
-        manual = compose_architecture(bracket, manual)
-    assert arch == manual
+    shapes = [((1, 2, 1), (1, 3, 1)), ((1, 1), (1, 1)),
+              ((1, 4, 2, 1), (1, 3, 1)), ((1, 2, 1), (1, 5, 3, 2, 1))]
+    for (mu_arch, sigma_arch), d in itertools.product(shapes, (1, 2, 3)):
+        mu = (d,) + mu_arch[1:-1] + (d,)
+        sigma = (d,) + sigma_arch[1:-1] + (d,)
+        depth = max(len(mu), len(sigma))
+        bracket = sum_architecture([identity_architecture(d, depth),
+                                    extend_architecture(mu, depth),
+                                    extend_architecture(sigma, depth)])
+        manual = bracket
+        for steps in range(1, 28):
+            assert euler_architecture(mu, sigma, d, steps) == manual
+            manual = compose_architecture(bracket, manual)
+
+
+@pytest.mark.parametrize("name", ["relu-exact", "bs-like"])
+@pytest.mark.parametrize("n, M", [(n, M) for n in (1, 2, 3) for M in (1, 2, 3)])
+def test_builder_and_estimator_draw_the_same_substreams(monkeypatch, name, n, M):
+    from collections import Counter
+
+    from picardnet import indexrng
+
+    real_generator = indexrng.generator
+    drawn: list = []
+
+    def recorded(sample, path, purpose):
+        drawn.append((purpose, tuple(path)))
+        return real_generator(sample, path, purpose)
+
+    monkeypatch.setattr(indexrng, "generator", recorded)
+    entry = catalog_entry(name, d=2)
+    cfg = MlpConfig(n, M, uniform_grid(1.0, 2), SAMPLE)
+    path, t = (3, 1), 0.25
+    mlp_estimate(entry.problem, cfg, path, t, [0.2, -0.1])
+    estimated = Counter(drawn)
+    drawn.clear()
+    build_mlp_network(network_encodings(entry.problem), cfg, path, t)
+    assert Counter(drawn) == estimated
+    assert sum(estimated.values()) > 0

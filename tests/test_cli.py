@@ -230,3 +230,57 @@ def test_numeric_failure_exits_internal(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, "c.json", {"problem": "ode-exp", "probes": [[0.0]]})
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
     assert "NumericFailure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"problem": "relu-exact", "n": 5, "M": 5, "time_grid": {"uniform_steps": 8}},
+    {"problem": "relu-exact", "n": 4, "M": 4},
+    {"problem": "relu-exact", "sweep": "fullerror", "level_grid": [[4, 4], [3, 3]]},
+])
+def test_cost_guard_admits_affordable_runs(payload):
+    cli._guard_work(payload)
+
+
+@pytest.mark.parametrize("payload, counts", [
+    ({"problem": "relu-exact", "n": 3, "M": 7}, "2947 Euler paths and 4473 substreams"),
+    ({"problem": "relu-exact", "n": 5, "M": 5}, "121330 Euler paths and 185035 substreams"),
+    ({"problem": "relu-exact", "n": 6, "M": 6, "time_grid": {"uniform_steps": 1}},
+     "3651594 Euler paths and 5553588 substreams"),
+    ({"problem": "ode-exp", "n": 2, "M": 10}, "on 10000000000 grid steps"),
+    ({"problem": "ode-exp", "sweep": "fullerror", "level_grid": [[1, 1], [6, 6]],
+      "time_grid": {"uniform_steps": 1}}, "n=6, M=6"),
+])
+def test_cost_guard_refuses_predicted_work(tmp_path, capsys, monkeypatch, payload, counts):
+    def admitted(*args):  # never run these configs: the default grids alone are huge
+        raise AssertionError("the cost guard admitted the run")
+
+    monkeypatch.setattr(cli, "cmd_solve", admitted)
+    monkeypatch.setattr(cli, "cmd_sweep", admitted)
+    cfg = write_config(tmp_path, "c.json", {**payload, "probes": []})
+    command = "sweep" if "sweep" in payload else "solve"
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert counts in err and "--force" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, time_grid", [
+    ("solve", {}),
+    ("solve", {"uniform_steps": 2, "points": [0.0, 1.0]}),
+    ("solve", {"points": [0.5, 1.0]}),
+    ("build-verify", {"points": [0.0, 0.7, 0.2, 1.0]}),
+    ("sweep", {"points": [0.5, 1.0]}),
+])
+def test_bad_time_grid_is_config_error(tmp_path, capsys, command, time_grid):
+    cfg = write_config(tmp_path, "c.json",
+                       {"problem": "ode-exp", "n": 1, "M": 1, "probes": [[0.0]],
+                        "sweep": "fullerror", "level_grid": [[1, 1]], "seeds": 2,
+                        "time_grid": time_grid})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_seed_key_is_rejected(tmp_path):
+    # --seed is the one way to set the master seed
+    cfg = write_config(tmp_path, "c.json", {"problem": "ode-exp", "seed": 5, "probes": []})
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

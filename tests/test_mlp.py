@@ -137,3 +137,33 @@ def test_invalid_config_rejected():
     cfg = MlpConfig(1, 1, uniform_grid(1.0, 1), FrozenSample(0))
     with pytest.raises(MlpError):
         mlp_estimate(prob, cfg, ROOT_PATH, 2.0, [0.0])
+
+
+@pytest.mark.parametrize("n, M", [(n, M) for n in range(4) for M in (1, 2, 3)] + [(4, 4)])
+def test_predict_work_counts_paths_and_substreams(monkeypatch, n, M):
+    from picardnet import indexrng, mlp
+    from picardnet.mlp import predict_work
+
+    calls = {"paths": 0, "substreams": 0}
+    real_evaluate, real_generator = mlp.euler_evaluate, indexrng.generator
+
+    def counted_evaluate(*args, **kwargs):
+        calls["paths"] += 1
+        return real_evaluate(*args, **kwargs)
+
+    def counted_generator(*args, **kwargs):
+        calls["substreams"] += 1
+        return real_generator(*args, **kwargs)
+
+    monkeypatch.setattr(mlp, "euler_evaluate", counted_evaluate)
+    monkeypatch.setattr(indexrng, "generator", counted_generator)
+    prob = SemilinearProblem(
+        name="noise", d=2, horizon=1.0,
+        mu=lambda x: np.zeros(2), sigma=lambda x: np.eye(2),
+        f=lambda v: 0.5 * v, g=lambda x: float(x[0]),
+    )
+    cfg = MlpConfig(n, M, uniform_grid(1.0, 2), FrozenSample(3))
+    mlp_estimate(prob, cfg, ROOT_PATH, 0.2, [0.1, -0.3])
+    assert predict_work(n, M) == (calls["paths"], calls["substreams"])
+    if n == 0:
+        assert predict_work(n, M) == (0, 0)
