@@ -20,7 +20,7 @@ from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample, standard_normals
 from .mlp import ROOT_PATH, MlpConfig, SemilinearProblem, mlp_rmse
 from .nets import param_count
-from .problems import PerturbationSpec, network_encodings
+from .problems import PerturbationSpec, network_encodings, squared_norms
 from .sde import TimeGrid, effective_breakpoints, euler_run, uniform_grid
 
 _ANALYSIS_PURPOSE = b"analysis-batch"
@@ -75,14 +75,17 @@ class ErrorMeasureConfig:
 
 def l2_error(estimator: Callable, reference: Callable, cfg: ErrorMeasureConfig,
              t: float = 0.0) -> tuple[float, float]:
-    """Monte Carlo L2(nu) distance between two point maps at time t.
+    """Monte Carlo L2(nu) distance between two maps at time t.
 
-    Returns (rmse, jackknife standard error); the jackknife runs over the
-    per-point squared errors, so the estimate of the squared error is
-    unbiased and halving variance needs doubled samples.
+    ``estimator(X)`` and ``reference(t, X)`` take the (N, d) batch of
+    sample points and return their (N,) values.  Returns (rmse, jackknife
+    standard error); the jackknife runs over the per-point squared errors,
+    so the estimate of the squared error is unbiased and halving variance
+    needs doubled samples.
     """
     pts = cfg.draw()
-    sq = np.array([(float(estimator(x)) - float(reference(t, x))) ** 2 for x in pts])
+    sq = (np.asarray(estimator(pts), dtype=np.float64)
+          - np.asarray(reference(t, pts), dtype=np.float64)) ** 2
     n = len(sq)
     total = sq.sum()
     rmse = math.sqrt(total / n)
@@ -154,7 +157,7 @@ def suggest_lyapunov_constants(problem: SemilinearProblem) -> tuple[float, float
     constant is 2 * c_phi because the stacked premise ratio reaches
     sqrt(2) * c_phi in the worst direction.
     """
-    zero = np.zeros(problem.d)
+    zero = np.zeros((1, problem.d))
     m0 = max(
         float(np.linalg.norm(np.asarray(problem.mu(zero), dtype=np.float64))),
         float(np.linalg.norm(np.asarray(problem.sigma(zero), dtype=np.float64))),
@@ -178,7 +181,7 @@ def lyapunov_check(problem: SemilinearProblem, kappa: float, c: float,
     for idx, (t, s, x) in enumerate(probes):
         g = grid or uniform_grid(problem.horizon, 1)
         batch = simulate_terminal_batch(problem, g, t, x, s, n_paths, seed + idx)
-        phis = np.array([lyapunov_phi(problem.d, c_phi, y) for y in batch["terminal"]])
+        phis = problem.d ** (2.0 * c_phi) + squared_norms(batch["terminal"])
         vals = phis**kappa
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(n_paths))
@@ -246,8 +249,10 @@ def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProble
                        oracle_budget: float = 0.0) -> CheckReport:
     """sup_s E|u_b(s, X^b) - u_a(s, X^a)| under coupling vs. the bound.
 
-    u_b may itself be an approximation; its error budget is added to the
-    measured side explicitly via ``oracle_budget``.
+    ``u_a(s, X)`` and ``u_b(s, X)`` take the (n_paths, d) batch of coupled
+    states at time s and return their (n_paths,) values.  u_b may itself be
+    an approximation; its error budget is added to the measured side
+    explicitly via ``oracle_budget``.
     """
     rows = []
     margin = math.inf
@@ -260,9 +265,7 @@ def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProble
         worst_se = 0.0
         path_gap = 0.0
         for s, (xa, xb) in snaps.items():
-            diffs = np.array(
-                [abs(float(u_b(s, xb[r])) - float(u_a(s, xa[r]))) for r in range(n_paths)]
-            )
+            diffs = np.abs(u_b(s, xb) - u_a(s, xa))
             est = float(diffs.mean())
             se = float(diffs.std(ddof=1) / math.sqrt(n_paths))
             if est + 3 * se > worst_est + 3 * worst_se:
@@ -297,15 +300,17 @@ def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: float,
-                              std: float, nodes: int = 64) -> float:
+                              std: float, nodes: int = 64):
     """E[fn(mean + std Z)] for standard normal Z, by Gauss-Hermite quadrature.
 
     ``fn`` is called once, on the array of all ``nodes`` abscissae, and
-    returns one value per abscissa.
+    returns one value per abscissa, a (nodes,) array, or one row of values
+    per abscissa, a (nodes, N) array.  The expectation is then a float, or
+    the (N,) array of the columns' expectations.
     """
     x, w = _hermite_rule(nodes)
     values = np.asarray(fn(mean + std * x), dtype=np.float64)
-    return float(w @ values / math.sqrt(2 * math.pi))
+    return w @ values / math.sqrt(2 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,13 @@ from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample
 from .mlp import ROOT_PATH, MlpConfig, mlp_estimate, predict_work
 from .nets import architecture, max_width, network_to_dict, param_count, realize
-from .problems import catalog_entry, heat_problem, network_encodings, problem_catalog
+from .problems import (
+    catalog_entry,
+    heat_problem,
+    network_encodings,
+    problem_catalog,
+    squared_norms,
+)
 from .sde import SimulationError, TimeGrid, uniform_grid
 
 EXIT_OK = 0
@@ -47,14 +53,22 @@ EXIT_RESOURCE = 3
 EXIT_CHECK_FAILED = 4
 EXIT_INTERNAL = 5
 
-# Cost of one estimate in Euler path-steps: each path-step (every path is
-# priced at the full grid), each grid step (the grid is built once per run)
-# and SUBSTREAM_PATH_STEPS per keyed substream.  Measured on a 2-CPU Xeon
-# at relu-exact d=2, n=M=4 on 1, 8 and 64 steps: about 90-100 us per
+# Cost of a run in Euler path-steps: per estimate, each path-step (every
+# path is priced at the full grid) and SUBSTREAM_PATH_STEPS per keyed
+# substream, times the estimates the command runs at that (n, M); plus each
+# grid step, since the grid is built once per (n, M).  Measured on a 2-CPU
+# Xeon at relu-exact d=2, n=M=4 on 1, 8 and 64 steps: about 90-100 us per
 # substream and 4.5-5.5 us per path-step.  WORK_GUARD, about 90 s there,
-# admits n=M=5 on 8 steps and n=M=4 on its default 256-step grid.
+# admits one n=M=5 estimate on 8 steps and one n=M=4 estimate on its
+# default 256-step grid.
 SUBSTREAM_PATH_STEPS = 20
 WORK_GUARD = 20_000_000
+
+# what each command runs when the config leaves it out: (n, M) of solve and
+# build-verify, and the level grid and seeds of sweep fullerror
+DEFAULT_LEVELS = {"solve": (2, 2), "build-verify": (1, 1)}
+DEFAULT_LEVEL_GRID = [[2, 2]]
+DEFAULT_SEEDS = 30
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -175,26 +189,47 @@ def _probes(cfg: dict, d: int) -> list[np.ndarray]:
     return out
 
 
-def _guard_work(cfg: dict) -> None:
-    """Refuse every (n, M) the config names whose predicted cost exceeds WORK_GUARD."""
-    pairs = [(cfg.get("n", 0), cfg.get("M", 1))]
-    pairs.extend(tuple(pair) for pair in cfg.get("level_grid", []))
+def _level(cfg: dict, command: str) -> tuple[int, int]:
+    """(n, M) of the estimates ``solve`` or ``build-verify`` runs."""
+    n, M = DEFAULT_LEVELS[command]
+    return cfg.get("n", n), cfg.get("M", M)
+
+
+def _planned_estimates(cfg: dict, command: str) -> tuple[list[tuple[int, int]], int]:
+    """The (n, M) pairs a command estimates at, and its estimates per pair.
+
+    ``solve`` and ``build-verify`` run one estimate per probe, ``sweep
+    fullerror`` runs ``seeds`` per pair of its level grid, and the other
+    sweeps run none.
+    """
+    if command != "sweep":
+        return [_level(cfg, command)], max(1, len(cfg.get("probes", [])))
+    if cfg.get("sweep", "fullerror") != "fullerror":
+        return [], 0
+    pairs = [tuple(pair) for pair in cfg.get("level_grid", DEFAULT_LEVEL_GRID)]
+    return pairs, cfg.get("seeds", DEFAULT_SEEDS)
+
+
+def _guard_work(cfg: dict, command: str) -> None:
+    """Refuse every (n, M) the command runs whose predicted cost exceeds WORK_GUARD."""
+    pairs, estimates = _planned_estimates(cfg, command)
     for n, M in pairs:
         paths, substreams = predict_work(n, M)
         steps = _grid_steps(cfg, M)
-        cost = (paths + 1) * steps + SUBSTREAM_PATH_STEPS * substreams
+        cost = estimates * (paths * steps + SUBSTREAM_PATH_STEPS * substreams) + steps
         if cost > WORK_GUARD:
             raise ConfigError(
                 f"n={n}, M={M} predicts {paths} Euler paths and {substreams} substreams "
-                f"on {steps} grid steps, {cost} path-steps over the cost guard "
-                f"{WORK_GUARD}; pass --force"
+                f"per estimate on {steps} grid steps, times {estimates} "
+                f"estimate{'s' if estimates != 1 else ''}: {cost} path-steps, over the "
+                f"cost guard {WORK_GUARD}; pass --force"
             )
 
 
 def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     entry = _entry(cfg)
     problem = entry.problem
-    n, M = cfg.get("n", 2), cfg.get("M", 2)
+    n, M = _level(cfg, "solve")
     grid = _time_grid(cfg, problem.horizon, M)
     t = cfg.get("t", 0.0)
     probes = _probes(cfg, problem.d)
@@ -209,7 +244,7 @@ def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
 def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
     entry = _entry(cfg)
     problem = entry.problem
-    n, M = cfg.get("n", 1), cfg.get("M", 1)
+    n, M = _level(cfg, "build-verify")
     grid = _time_grid(cfg, problem.horizon, M)
     t = cfg.get("t", 0.0)
     networks = network_encodings(problem, cfg.get("delta_target"))
@@ -252,11 +287,11 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
 
 def _sweep_fullerror(cfg: dict, seed: int, out_dir: Path) -> int:
     entry = _entry(cfg)
-    pairs = [tuple(p) for p in cfg.get("level_grid", [[2, 2]])]
+    pairs, seeds = _planned_estimates(cfg, "sweep")
     probes = _probes(cfg, entry.problem.d) or [np.zeros(entry.problem.d)]
     report = fullerror_check(
         entry.problem, entry.reference, entry.constants, pairs,
-        cfg.get("t", 0.0), probes[0], seeds=cfg.get("seeds", 30), base_seed=seed,
+        cfg.get("t", 0.0), probes[0], seeds=seeds, base_seed=seed,
         grid_fn=lambda M: _time_grid(cfg, entry.problem.horizon, M),
     )
     header = ["n", "M", "delta", "reference", "rmse", "bound", "ratio", "pass"]
@@ -307,13 +342,13 @@ def _sweep_perturbation(cfg: dict, seed: int, out_dir: Path) -> int:
     shifted_mu = 0.05
     pert = dataclasses.replace(
         base.problem, name="heat-shifted",
-        mu=lambda x, s=shifted_mu: s * np.ones(d),
+        mu=lambda X, s=shifted_mu: s * np.ones(d),
     )
     horizon = base.problem.horizon
 
-    def u_pert(s, y):
+    def u_pert(s, Y):
         drift = shifted_mu * (horizon - s) * np.ones(d)
-        return float(np.dot(y + drift, y + drift)) + 2 * d * (horizon - s)
+        return squared_norms(Y + drift) + 2 * d * (horizon - s)
 
     constants = dataclasses.replace(base.constants,
                                     delta=shifted_mu * math.sqrt(d))
@@ -365,7 +400,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if not args.force:
-            _guard_work(cfg)
+            _guard_work(cfg, args.command)
         out_dir = Path(args.out)
         if args.command == "solve":
             return cmd_solve(cfg, args.seed, out_dir)

@@ -35,10 +35,12 @@ class MlpError(ValueError):
 class SemilinearProblem:
     """Terminal-value problem data (d, T, mu, sigma, f, g).
 
-    mu maps R^d -> R^d, sigma maps R^d -> R^(d x d), the nonlinearity f
-    maps R -> R with Lipschitz constant at most lipschitz_c, and g maps
-    R^d -> R.  Optional exact or delta-controlled network encodings are
-    attached by the problem catalog.
+    The coefficients take batches: mu and sigma map an (N, d) batch of
+    states to arrays that broadcast to (N, d) and (N, d, d), so a constant
+    coefficient may return its (d,) or (d, d) array unchanged.  The
+    nonlinearity f maps one value R -> R with Lipschitz constant at most
+    lipschitz_c, and g maps one point R^d -> R.  Optional exact or
+    delta-controlled network encodings are attached by the problem catalog.
     """
 
     name: str

@@ -41,16 +41,34 @@ class EncodingError(ValueError):
     pass
 
 
+def squared_norms(X: np.ndarray) -> np.ndarray:
+    """|x|^2 of every row of an (N, d) batch, as an (N,) array.
+
+    Written as a stack of 1 x d by d x 1 products, so each value keeps the
+    bits of ``np.dot(x, x)`` on the row; ``(X * X).sum(1)`` and ``einsum``
+    round differently in the last bit at d >= 2.
+    """
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """u(t, x) by closed form or by a pinned high-level estimator."""
+    """u(t, x) by closed form or by a pinned high-level estimator.
+
+    The evaluator maps t and an (N, d) batch to the (N,) values of u.  The
+    solution itself takes either one (d,) point, and returns a float, or
+    an (N, d) batch, and returns the (N,) array.
+    """
 
     kind: str  # "closed-form" | "derived-oracle"
-    evaluator: Callable[[float, np.ndarray], float]
+    evaluator: Callable[[float, np.ndarray], np.ndarray]
     note: str = ""
 
-    def __call__(self, t: float, x) -> float:
-        return float(self.evaluator(float(t), np.asarray(x, dtype=np.float64)))
+    def __call__(self, t: float, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            return float(self.evaluator(float(t), x[None])[0])
+        return self.evaluator(float(t), x)
 
 
 @dataclass(frozen=True)
@@ -172,12 +190,12 @@ class CatalogEntry:
 
 def _zero_vec(d: int):
     z = np.zeros(d)
-    return lambda x: z
+    return lambda X: z
 
 
 def _zero_mat(d: int):
     z = np.zeros((d, d))
-    return lambda x: z
+    return lambda X: z
 
 
 def ode_exp_problem(d: int = 1, horizon: float = 1.0) -> CatalogEntry:
@@ -202,7 +220,7 @@ def ode_exp_problem(d: int = 1, horizon: float = 1.0) -> CatalogEntry:
         encodings=encodings,
     )
     reference = ReferenceSolution(
-        "closed-form", lambda t, x: math.exp(horizon - t),
+        "closed-form", lambda t, X: np.full(len(X), math.exp(horizon - t)),
         note="u' = -u backwards from u(T) = 1",
     )
     return CatalogEntry("ode-exp", problem, reference,
@@ -240,7 +258,7 @@ def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
         d=d,
         horizon=horizon,
         mu=_zero_vec(d),
-        sigma=lambda x, s=sigma_const: s,
+        sigma=lambda X, s=sigma_const: s,
         f=lambda v: 0.0,
         g=lambda x: float(np.dot(x, x)),
         lipschitz_c=1.0,
@@ -248,7 +266,7 @@ def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
     )
     reference = ReferenceSolution(
         "closed-form",
-        lambda t, x: float(np.dot(x, x)) + 2.0 * d * (horizon - t),
+        lambda t, X: squared_norms(X) + 2.0 * d * (horizon - t),
         note="additive Brownian motion, quadratic terminal",
     )
     return CatalogEntry("heat", problem, reference,
@@ -288,8 +306,8 @@ def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
         name="relu-exact",
         d=d,
         horizon=horizon,
-        mu=lambda x: a @ x + b,
-        sigma=lambda x: s,
+        mu=lambda X: np.matmul(a, X[:, :, None])[..., 0] + b,
+        sigma=lambda X: s,
         f=f,
         g=g,
         lipschitz_c=1.0,
@@ -337,8 +355,8 @@ def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
         name="bs-like",
         d=d,
         horizon=horizon,
-        mu=lambda x: rate * x,
-        sigma=lambda x: vol * np.diag(x),
+        mu=lambda X: rate * X,
+        sigma=lambda X: vol * (X[:, :, None] * np.eye(d)),
         f=f,
         g=g,
         lipschitz_c=max(1.0, rate, vol),
@@ -358,7 +376,10 @@ def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
     """
     cache: dict[tuple, tuple[float, float]] = {}
 
-    def evaluate(t: float, x: np.ndarray) -> float:
+    def evaluate(t: float, X: np.ndarray) -> np.ndarray:
+        return np.array([evaluate_point(t, x) for x in X])
+
+    def evaluate_point(t: float, x: np.ndarray) -> float:
         key = (round(t, 12), tuple(np.round(x, 12)))
         if key not in cache:
             grid = uniform_grid(problem.horizon, M**M)

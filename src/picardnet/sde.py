@@ -72,24 +72,24 @@ def euler_run(problem, breakpoints: Sequence[float], states: np.ndarray,
               keep: Collection[float] = ()) -> dict[float, np.ndarray]:
     """Advance every row of the (N, d) ``states`` in place along the breakpoints.
 
-    Step k maps each row y to y + mu(y) dt_k + sigma(y) @ increments[row, k],
-    with the coefficients taken at the left endpoint; ``increments`` has
-    shape (N, len(breakpoints) - 1, d).  Returns a copy of the states at
-    each breakpoint listed in ``keep``.  A non-finite state anywhere in the
+    Step k maps the batch Y to Y + mu(Y) dt_k + sigma(Y) @ increments[:, k]
+    in one NumPy step, with the coefficients taken at the left endpoint:
+    ``mu`` and ``sigma`` take the (N, d) batch and return arrays that
+    broadcast to (N, d) and (N, d, d).  Each row gets the arithmetic of a
+    row-by-row step, bit for bit.  ``increments`` has shape
+    (N, len(breakpoints) - 1, d).  Returns a copy of the states at each
+    breakpoint listed in ``keep``.  A non-finite state anywhere in the
     batch raises ``NumericFailure`` naming ``path``.
     """
-    d = problem.d
     mu, sigma = problem.mu, problem.sigma
+    noise = increments[..., None]
     kept = {}
     if breakpoints[0] in keep:
         kept[breakpoints[0]] = states.copy()
     for k in range(len(breakpoints) - 1):
         dt = breakpoints[k + 1] - breakpoints[k]
-        for row in range(len(states)):
-            y = states[row]
-            drift = np.asarray(mu(y), dtype=np.float64).reshape(d)
-            diff = np.asarray(sigma(y), dtype=np.float64).reshape(d, d)
-            states[row] = y + drift * dt + diff @ increments[row, k]
+        np.add(states + mu(states) * dt, np.matmul(sigma(states), noise[:, k])[..., 0],
+               out=states)
         if not np.isfinite(states).all():
             raise NumericFailure(f"state non-finite at time {breakpoints[k + 1]}", path)
         if breakpoints[k + 1] in keep:

@@ -35,7 +35,7 @@ from picardnet import (
     uniform_grid,
 )
 from picardnet.analysis import perturbation_check
-from picardnet.problems import catalog_entry, network_encodings
+from picardnet.problems import catalog_entry, network_encodings, squared_norms
 from conftest import random_network
 
 from test_analysis import make_pwl_heat_pair
@@ -202,9 +202,9 @@ def test_criterion_6_perturbation_bound():
     shifted = dataclasses.replace(base.problem, name="heat-shift",
                                   mu=lambda x: shift * np.ones(d))
 
-    def u_shift(s, y):
+    def u_shift(s, Y):
         drift = shift * (horizon - s) * np.ones(d)
-        return float(np.dot(y + drift, y + drift)) + 2 * d * (horizon - s)
+        return squared_norms(Y + drift) + 2 * d * (horizon - s)
 
     constants = dataclasses.replace(base.constants, delta=shift * math.sqrt(d))
     rep_shift = perturbation_check(base.problem, shifted, base.reference, u_shift,

@@ -26,7 +26,7 @@ from picardnet.analysis import (
     gauss_hermite_expectation,
     simulate_terminal_batch,
 )
-from picardnet.problems import catalog_entry, network_encodings
+from picardnet.problems import catalog_entry, network_encodings, squared_norms
 from picardnet import realize, uniform_grid
 from picardnet.sde import NumericFailure
 
@@ -38,14 +38,14 @@ from picardnet.sde import NumericFailure
 def test_l2_error_zero_for_identical_maps(heat_entry):
     ref = heat_entry.reference
     cfg = ErrorMeasureConfig(dimension=2, sample_count=200)
-    rmse, se = l2_error(lambda x: ref(0.0, x), ref, cfg)
+    rmse, se = l2_error(lambda X: ref(0.0, X), ref, cfg)
     assert rmse == 0.0 and se == 0.0
 
 
 def test_l2_error_constant_offset(heat_entry):
     ref = heat_entry.reference
     cfg = ErrorMeasureConfig(dimension=2, sample_count=300)
-    rmse, se = l2_error(lambda x: ref(0.0, x) + 1.0, ref, cfg)
+    rmse, se = l2_error(lambda X: ref(0.0, X) + 1.0, ref, cfg)
     assert rmse == pytest.approx(1.0, abs=1e-12)
     assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -57,7 +57,7 @@ def test_l2_error_sample_count_floor():
 
 def test_l2_error_variance_halves_with_double_samples(heat_entry):
     ref = heat_entry.reference
-    est = lambda x: ref(0.0, x) + math.sin(40.0 * float(x[0]))
+    est = lambda X: ref(0.0, X) + np.sin(40.0 * X[:, 0])
     se_small = l2_error(est, ref, ErrorMeasureConfig(dimension=2, sample_count=400, seed=1))[1]
     se_big = l2_error(est, ref, ErrorMeasureConfig(dimension=2, sample_count=1600, seed=2))[1]
     assert se_big < se_small
@@ -143,9 +143,9 @@ def test_perturbation_constant_drift_shift():
         base.problem, name="heat-shift", mu=lambda x: shift * np.ones(d)
     )
 
-    def u_pert(s, y):
+    def u_pert(s, Y):
         drift = shift * (horizon - s) * np.ones(d)
-        return float(np.dot(y + drift, y + drift)) + 2 * d * (horizon - s)
+        return squared_norms(Y + drift) + 2 * d * (horizon - s)
 
     constants = dataclasses.replace(base.constants, delta=shift * math.sqrt(d))
     report = perturbation_check(base.problem, pert, base.reference, u_pert,
@@ -170,22 +170,19 @@ def make_pwl_heat_pair(d):
     # the terminal net is separable with scalar branch p, and p(0) = 0
     assert realize(g2, np.zeros(d))[0] == pytest.approx(0.0, abs=1e-14)
 
-    def p(v, j):
-        x = np.zeros((len(v), d))
-        x[:, j] = v
-        return realize(g2, x)[:, 0]
-
     pert = dataclasses.replace(problem, name="heat-pwl",
                                g=lambda x: float(realize(g2, x)[0]))
 
-    def u_pert(s, y):
+    def shifted(offsets, Y):
+        return np.array([realize(g2, Y + v)[:, 0] for v in offsets])
+
+    def u_pert(s, Y):
         std = math.sqrt(2.0 * max(horizon - s, 0.0))
         if std == 0.0:
-            return float(realize(g2, y)[0])
-        return sum(
-            gauss_hermite_expectation(lambda v, j=j: p(v, j), float(y[j]), std)
-            for j in range(d)
-        )
+            return realize(g2, Y)[:, 0]
+        # g2(y) = sum_j p(y_j): shifting every coordinate of a row by one
+        # abscissa gives that abscissa's term of all d expectations at once
+        return gauss_hermite_expectation(lambda v: shifted(v, Y), 0.0, std)
 
     constants = dataclasses.replace(base.constants, delta=max(nets.delta, 1e-12))
     return base, pert, u_pert, constants
@@ -203,6 +200,8 @@ def test_perturbation_interpolated_terminal():
 def test_gauss_hermite_expectation_matches_moments():
     assert gauss_hermite_expectation(lambda v: v * v, 0.0, 2.0) == pytest.approx(4.0)
     assert gauss_hermite_expectation(lambda v: v, 1.5, 0.7) == pytest.approx(1.5)
+    rows = gauss_hermite_expectation(lambda v: np.stack([v, v * v], axis=1), 1.5, 0.7)
+    np.testing.assert_allclose(rows, [1.5, 1.5**2 + 0.7**2], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +315,9 @@ def test_l2_error_repeat_run_consistency(heat_entry):
     problem, ref = entry.problem, entry.reference
     grid = uniform_grid(problem.horizon, 4)
 
-    def estimator(x, seed=3000):
+    def estimator(X, seed=3000):
         cfg = MlpConfig(2, 2, grid, FrozenSample(seed))
-        return mlp_estimate(problem, cfg, ROOT_PATH, 0.0, x)
+        return np.array([mlp_estimate(problem, cfg, ROOT_PATH, 0.0, x) for x in X])
 
     cfg_a = ErrorMeasureConfig(dimension=2, sample_count=100, seed=5)
     rmse1, se1 = l2_error(estimator, ref, cfg_a)
@@ -326,6 +325,6 @@ def test_l2_error_repeat_run_consistency(heat_entry):
     assert rmse1 == rmse2  # same frozen sample, same measure: identical value
     assert 0.0 < rmse1 < 5.0 and se1 < rmse1
     # a reseeded run sees fresh common noise; only the magnitude is stable
-    rmse3, _ = l2_error(lambda x: estimator(x, seed=4000), ref,
+    rmse3, _ = l2_error(lambda X: estimator(X, seed=4000), ref,
                         ErrorMeasureConfig(dimension=2, sample_count=100, seed=6))
     assert rmse3 / rmse1 < 8.0 and rmse1 / rmse3 < 8.0

@@ -235,10 +235,10 @@ def test_numeric_failure_exits_internal(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("payload", [
     {"problem": "relu-exact", "n": 5, "M": 5, "time_grid": {"uniform_steps": 8}},
     {"problem": "relu-exact", "n": 4, "M": 4},
-    {"problem": "relu-exact", "sweep": "fullerror", "level_grid": [[4, 4], [3, 3]]},
+    {"problem": "relu-exact", "sweep": "fullerror", "level_grid": [[4, 4], [3, 3]], "seeds": 1},
 ])
 def test_cost_guard_admits_affordable_runs(payload):
-    cli._guard_work(payload)
+    cli._guard_work(payload, "sweep" if "sweep" in payload else "solve")
 
 
 @pytest.mark.parametrize("payload, counts", [
@@ -249,6 +249,8 @@ def test_cost_guard_admits_affordable_runs(payload):
     ({"problem": "ode-exp", "n": 2, "M": 10}, "on 10000000000 grid steps"),
     ({"problem": "ode-exp", "sweep": "fullerror", "level_grid": [[1, 1], [6, 6]],
       "time_grid": {"uniform_steps": 1}}, "n=6, M=6"),
+    ({"problem": "relu-exact", "sweep": "fullerror", "level_grid": [[4, 4], [3, 3]]},
+     "on 256 grid steps, times 30 estimates"),
 ])
 def test_cost_guard_refuses_predicted_work(tmp_path, capsys, monkeypatch, payload, counts):
     def admitted(*args):  # never run these configs: the default grids alone are huge
@@ -262,6 +264,25 @@ def test_cost_guard_refuses_predicted_work(tmp_path, capsys, monkeypatch, payloa
     err = capsys.readouterr().err
     assert counts in err and "--force" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, payload, counts", [
+    ("solve", {"problem": "relu-exact", "time_grid": {"uniform_steps": 2_000_000}},
+     "n=2, M=2 predicts 18 Euler paths and 28 substreams per estimate"),
+    ("build-verify", {"problem": "relu-exact", "time_grid": {"uniform_steps": 10_000_000}},
+     "n=1, M=1 predicts 2 Euler paths and 3 substreams per estimate"),
+    ("solve", {"problem": "relu-exact", "n": 4, "M": 4, "probes": [[0.0, 0.0]] * 16},
+     "times 16 estimates"),
+    ("build-verify", {"problem": "relu-exact", "n": 2, "M": 2, "probes": [[0.0, 0.0]] * 3,
+                      "time_grid": {"uniform_steps": 500_000}}, "times 3 estimates"),
+    ("sweep", {"problem": "relu-exact", "sweep": "fullerror",
+               "time_grid": {"uniform_steps": 50_000}}, "n=2, M=2"),
+])
+def test_cost_guard_prices_what_the_command_runs(command, payload, counts):
+    # each is admitted when priced as one estimate at the config's own n and M
+    with pytest.raises(cli.ConfigError) as err:
+        cli._guard_work(payload, command)
+    assert counts in str(err.value)
 
 
 @pytest.mark.parametrize("command, time_grid", [

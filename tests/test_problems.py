@@ -67,7 +67,7 @@ def test_exact_encodings_match_closures(rng):
             assert abs(realize(nets.f, [v])[0] - problem.f(v)) <= 1e-12
             assert abs(realize(nets.g, x)[0] - problem.g(x)) <= 1e-12
             np.testing.assert_allclose(
-                realize(nets.mu, x), np.asarray(problem.mu(x), dtype=np.float64),
+                realize(nets.mu, x), np.broadcast_to(problem.mu(x[None]), (1, d))[0],
                 rtol=0, atol=1e-12,
             )
         for _ in range(50):
@@ -75,7 +75,7 @@ def test_exact_encodings_match_closures(rng):
             v = rng.standard_normal(d)
             np.testing.assert_allclose(
                 realize(nets.sigma(v), x),
-                np.asarray(problem.sigma(x), dtype=np.float64) @ v,
+                np.broadcast_to(problem.sigma(x[None]), (1, d, d))[0] @ v,
                 rtol=0, atol=1e-12,
             )
 

@@ -12,6 +12,7 @@ from picardnet import (
 )
 from picardnet.sde import NumericFailure, SimulationError, euler_run
 from picardnet.mlp import SemilinearProblem
+from picardnet.problems import catalog_entry
 
 SAMPLE = FrozenSample(2024)
 
@@ -115,7 +116,7 @@ def test_nonfinite_coefficient_reports_path():
 
 
 def test_euler_run_rows_are_independent_and_keep_copies():
-    problem = make_problem(2, lambda y: 0.5 * y, lambda y: np.diag(0.1 * y))
+    problem = make_problem(2, lambda Y: 0.5 * Y, lambda Y: 0.1 * (Y[:, :, None] * np.eye(2)))
     breakpoints = (0.0, 0.25, 0.5, 1.0)
     rng = np.random.default_rng(5)
     start = rng.uniform(-1, 1, (4, 2))
@@ -131,3 +132,36 @@ def test_euler_run_rows_are_independent_and_keep_copies():
         assert np.array_equal(mid[0.5][0], kept[0.5][row])
         euler_run(problem, breakpoints[2:], single, increments[row:row + 1, 2:], (0,))
         assert np.array_equal(single[0], states[row])
+
+
+def point_coefficients(name, d):
+    """The catalog's drift and diffusion written for one point at a time."""
+    if name == "relu-exact":
+        a = -0.25 * np.eye(d) + 0.05 * np.triu(np.ones((d, d)), 1)
+        b = 0.1 * np.ones(d)
+        s = 0.3 * np.eye(d) + 0.05 * np.tril(np.ones((d, d)), -1)
+        return (lambda y: a @ y + b), (lambda y: s)
+    if name == "bs-like":
+        return (lambda y: 0.05 * y), (lambda y: 0.2 * np.diag(y))
+    return (lambda y: np.zeros(d)), (lambda y: math.sqrt(2.0) * np.eye(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("name", ["relu-exact", "bs-like", "heat"])
+def test_batched_step_equals_row_loop_bitwise(name, d):
+    problem = catalog_entry(name, d=d).problem
+    mu, sigma = point_coefficients(name, d)
+    breakpoints = (0.0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0)
+    rng = np.random.default_rng(100 + d)
+    start = rng.uniform(-2.0, 2.0, (4000, d))
+    increments = rng.standard_normal((4000, 9, d)) * np.sqrt(np.diff(breakpoints))[:, None]
+    states = start.copy()
+    euler_run(problem, breakpoints, states, increments, (0,))
+    want = start.copy()
+    for row in range(len(want)):
+        y = want[row]
+        for k in range(9):
+            dt = breakpoints[k + 1] - breakpoints[k]
+            y = y + mu(y) * dt + sigma(y) @ increments[row, k]
+        want[row] = y
+    assert np.array_equal(states.view(np.uint64), want.view(np.uint64))
