@@ -57,11 +57,12 @@ EXIT_INTERNAL = 5
 # path is priced at the full grid) and SUBSTREAM_PATH_STEPS per keyed
 # substream, times the estimates the command runs at that (n, M); plus each
 # grid step, since the grid is built once per (n, M).  Measured on a 2-CPU
-# Xeon at relu-exact d=2, n=M=4 on 1, 8 and 64 steps: about 90-100 us per
-# substream and 4.5-5.5 us per path-step.  WORK_GUARD, about 90 s there,
-# admits one n=M=5 estimate on 8 steps and one n=M=4 estimate on its
-# default 256-step grid.
-SUBSTREAM_PATH_STEPS = 20
+# Xeon at relu-exact d=2, n=M=4 on 1, 8 and 64 steps (least squares over
+# the three grids, five seeds each): 22-42 us per substream and 2.4-4.8 us
+# per path-step as the host's load varied, a ratio of 9 in every run.
+# WORK_GUARD, 50-95 s there, admits one n=M=5 estimate on 8 steps and one
+# n=M=4 estimate on its default 256-step grid.
+SUBSTREAM_PATH_STEPS = 9
 WORK_GUARD = 20_000_000
 
 # what each command runs when the config leaves it out: (n, M) of solve and

@@ -3,15 +3,20 @@
 Every draw is a pure function of (master seed, index path, purpose,
 ordinal): the path entries are length-prefixed, tagged with a purpose
 byte string and fed through keyed BLAKE2b to derive a Philox counter key.
-Distinct paths therefore own statistically independent substreams with no
-shared mutable state, and the same arguments always reproduce the same
-bits on any platform.
+Distinct paths therefore own statistically independent substreams, and the
+same arguments always reproduce the same bits on any platform.
+
+Philox is counter-based: a substream is fully set by its key, at counter 0
+with an empty buffer.  So instead of constructing a bit generator per
+substream, each thread keeps one scratch Philox and re-keys it; the only
+mutable state is that per-thread scratch, which a draw resets before use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +51,39 @@ def child(path: IndexPath, *entries: int) -> IndexPath:
 
 def derive_key(sample: FrozenSample, path: IndexPath, purpose: bytes) -> bytes:
     """16-byte substream key for (sample, path, purpose)."""
-    msg = bytearray(_DOMAIN)
-    msg += struct.pack("<B", len(purpose))
-    msg += purpose
-    msg += struct.pack("<I", len(path))
-    for entry in path:
-        msg += struct.pack("<q", int(entry))
+    msg = (_DOMAIN + struct.pack("<B", len(purpose)) + purpose
+           + struct.pack(f"<I{len(path)}q", len(path), *path))
     return hashlib.blake2b(
-        bytes(msg), key=struct.pack("<Q", sample.master_seed), digest_size=16
+        msg, key=struct.pack("<Q", sample.master_seed), digest_size=16
     ).digest()
 
 
-def generator(sample: FrozenSample, path: IndexPath, purpose: bytes) -> np.random.Generator:
-    """Counter-based generator for one substream."""
-    key = derive_key(sample, path, purpose)
-    words = np.frombuffer(key, dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=words))
+_scratch = threading.local()
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # counter 0 and an empty buffer
 
 
-def _uniform_open01(gen: np.random.Generator, shape) -> np.ndarray:
+def generator(sample: FrozenSample, path: IndexPath, purpose: bytes) -> np.random.Philox:
+    """Philox bit generator for one substream, at its first word.
+
+    The result is the calling thread's scratch bit generator, re-keyed: it
+    gives the same words as ``np.random.Philox(key=...)`` and stays valid
+    until that thread's next call.
+    """
+    key = np.frombuffer(derive_key(sample, path, purpose), dtype=np.uint64)
+    bitgen = getattr(_scratch, "philox", None)
+    if bitgen is None:
+        bitgen = _scratch.philox = np.random.Philox(key=key)
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": _ZERO_WORDS, "key": key},
+                    "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return bitgen
+
+
+def _uniform_open01(bitgen: np.random.Philox, shape) -> np.ndarray:
     # 53 significant bits, centered in (0, 1) so the inverse CDF never sees 0 or 1.
     # The top value (2**53 - 1) + 0.5 rounds to 2**53, so it is clamped to the
     # largest double below 1.
-    raw = gen.integers(0, 2**64, size=shape, dtype=np.uint64)
+    raw = bitgen.random_raw(size=shape)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return np.minimum(u, 1.0 - 2.0**-53)
 
@@ -103,13 +118,11 @@ def brownian_path(
     consumed in time order, so appending later breakpoints never changes
     earlier increments.
     """
-    pts = tuple(float(b) for b in breakpoints)
-    for a, b in zip(pts, pts[1:]):
-        if b <= a:
-            raise RngError("breakpoints must be strictly increasing")
-    m = max(len(pts) - 1, 0)
-    if m == 0:
+    pts = np.asarray(breakpoints, dtype=np.float64)
+    gaps = pts[1:] - pts[:-1]
+    if not (gaps > 0.0).all():
+        raise RngError("breakpoints must be strictly increasing")
+    if gaps.size == 0:
         return np.zeros((0, d))
-    z = standard_normals(sample, path, PURPOSE_BROWNIAN, (m, d))
-    gaps = np.diff(np.asarray(pts))
+    z = standard_normals(sample, path, PURPOSE_BROWNIAN, (gaps.size, d))
     return np.sqrt(gaps)[:, None] * z

@@ -142,7 +142,9 @@ def realize(net: ReluNetwork, x: Sequence[float]) -> np.ndarray:
     if v.shape != (d,) and (v.ndim != 2 or v.shape[1] != d):
         raise NetworkError(f"input has shape {v.shape}, network expects ({d},) or (N, {d})")
     for w, b in net.layers[:-1]:
-        v = np.maximum(v @ w.T + b, 0.0)
+        v = v @ w.T
+        v += b
+        np.maximum(v, 0.0, out=v)
     w, b = net.layers[-1]
     return v @ w.T + b
 

@@ -88,8 +88,9 @@ def euler_run(problem, breakpoints: Sequence[float], states: np.ndarray,
         kept[breakpoints[0]] = states.copy()
     for k in range(len(breakpoints) - 1):
         dt = breakpoints[k + 1] - breakpoints[k]
-        np.add(states + mu(states) * dt, np.matmul(sigma(states), noise[:, k])[..., 0],
-               out=states)
+        diffusion = np.matmul(sigma(states), noise[:, k])[..., 0]
+        states += mu(states) * dt
+        states += diffusion
         if not np.isfinite(states).all():
             raise NumericFailure(f"state non-finite at time {breakpoints[k + 1]}", path)
         if breakpoints[k + 1] in keep:

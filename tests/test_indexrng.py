@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ import scipy.stats
 from scipy.special import ndtri
 
 from picardnet import FrozenSample, brownian_path, child, standard_normals, uniform01, uniform_time
-from picardnet.indexrng import PURPOSE_BROWNIAN, RngError, _uniform_open01, derive_key
+from picardnet.indexrng import (
+    PURPOSE_BROWNIAN,
+    PURPOSE_TIME,
+    RngError,
+    _uniform_open01,
+    derive_key,
+    generator,
+)
 
 SAMPLE = FrozenSample(123456789)
 
@@ -18,14 +27,69 @@ def test_determinism_bitwise():
     assert uniform01(SAMPLE, (9,)) == uniform01(SAMPLE, (9,))
 
 
+def _fresh_words(sample, path, purpose, shape):
+    key = np.frombuffer(derive_key(sample, path, purpose), dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.integers(0, 2**64, size=shape, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(), (9, 2), (4000, 9, 2)])
+def test_rekeyed_words_equal_a_freshly_constructed_generator(shape):
+    for i in range(500):
+        path = (i % 7, -i, 3 * i)
+        purpose = PURPOSE_TIME if i % 2 else PURPOSE_BROWNIAN
+        words = generator(SAMPLE, path, purpose).random_raw(size=shape)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, _fresh_words(SAMPLE, path, purpose, shape))
+
+
+def test_substreams_share_no_counter_or_buffer():
+    a, b = (1, 2), (1, 3)
+
+    def draw(path, halves):
+        # 7 words leave 3 of Philox's 4-word block buffered, and an odd number
+        # of 32-bit draws leaves half a word buffered
+        words = generator(SAMPLE, path, PURPOSE_BROWNIAN).random_raw(size=7)
+        gen = np.random.Generator(generator(SAMPLE, path, PURPOSE_BROWNIAN))
+        return words, gen.integers(0, 2**32, size=halves, dtype=np.uint32)
+
+    first = draw(a, 2)
+    draw(b, 3)
+    again = draw(a, 2)
+    key = np.frombuffer(derive_key(SAMPLE, a, PURPOSE_BROWNIAN), dtype=np.uint64)
+    fresh = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 2**32, size=2, dtype=np.uint32)
+    assert np.array_equal(again[0], first[0])
+    assert np.array_equal(again[1], first[1]) and np.array_equal(again[1], fresh)
+
+
+def _draw_paths(worker: int) -> list[np.ndarray]:
+    breakpoints = [0.0, 0.1, 0.35, 0.5, 1.0]
+    return [brownian_path(SAMPLE, (worker, i), 2, breakpoints) for i in range(200)]
+
+
+def test_threads_draw_the_same_paths_as_one_thread():
+    sequential = [_draw_paths(w) for w in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so their draws interleave
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(_draw_paths, range(2), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threaded) == len(sequential)
+    for seq, thr in zip(sequential, threaded):
+        assert all(np.array_equal(a, b) for a, b in zip(seq, thr))
+
+
 class _ConstantWords:
-    """Stands in for a generator whose every raw 64-bit word is ``word``."""
+    """Stands in for a bit generator whose every raw 64-bit word is ``word``."""
 
     def __init__(self, word):
         self.word = word
 
-    def integers(self, low, high, size, dtype):
-        return np.full(size, self.word, dtype=dtype)
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
 
 
 def test_uniform_stays_inside_open_unit_interval_at_extreme_words():
