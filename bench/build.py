@@ -10,7 +10,10 @@ every layer, so runs of different source trees can be shown to build the
 same network.  Source trees given together are run alternately, one
 build of each per repeat, so that drift in the machine's load falls on
 all of them alike.  The file keeps every run and, per case and tree, the
-median, the 25th and 75th percentiles, the minimum and the maximum.
+median, the 25th and 75th percentiles, the minimum and the maximum.  For
+every tree after the first it also keeps the paired ratio of build times,
+that tree over the first one within each repeat: its median and
+quartiles, and the number of repeats in which that tree was faster.
 
     python3 bench/build.py parent=PARENT/src change=src
 
@@ -95,13 +98,20 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
+def spread(values: list[float]) -> dict:
+    p25, _, p75 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "p25": p25, "p75": p75,
+            "min": min(values), "max": max(values)}
+
+
+def paired(runs: list[dict], base: list[dict]) -> dict:
+    """Per-repeat build-time ratios of one tree over the base tree."""
+    ratios = [r["build_s"] / b["build_s"] for r, b in zip(runs, base)]
+    return {**spread(ratios), "faster": sum(q < 1.0 for q in ratios), "repeats": len(ratios)}
+
+
 def summarize(runs: list[dict]) -> dict:
-    out = {}
-    for key in ("build_s", "peak_rss_mb"):
-        values = [r[key] for r in runs]
-        p25, _, p75 = statistics.quantiles(values, n=4)
-        out[key] = {"median": statistics.median(values), "p25": p25, "p75": p75,
-                    "min": min(values), "max": max(values)}
+    out = {key: spread([r[key] for r in runs]) for key in ("build_s", "peak_rss_mb")}
     for key in ("depth", "dense_params", "network_sha256"):
         seen = {r[key] for r in runs}
         if len(seen) != 1:
@@ -127,11 +137,15 @@ def main(argv=None) -> int:
                 runs[label].append(run_child(src, n, M))
                 print(f"n=M={n} {label} run {rep + 1}: {runs[label][-1]['build_s']:.3f} s, "
                       f"{runs[label][-1]['peak_rss_mb']:.0f} MB", file=sys.stderr)
-        cases[f"relu-exact d=2 n=M={n} K={STEPS}"] = {
+        base_label = trees[0][0]
+        case = {
             label: {**summarize(r), "runs": [{k: x[k] for k in ("build_s", "peak_rss_mb")}
                                              for x in r]}
             for label, r in runs.items()
         }
+        for label, _ in trees[1:]:
+            case[label][f"build_s_ratio_to_{base_label}"] = paired(runs[label], runs[base_label])
+        cases[f"relu-exact d=2 n=M={n} K={STEPS}"] = case
     report = {
         "machine": machine(),
         "method": (f"{REPEATS} builds per case and tree, each in a fresh process, trees "
@@ -139,7 +153,8 @@ def main(argv=None) -> int:
                    "builder.build_mlp_network (encodings made before it); peak_rss_mb is the "
                    "child's ru_maxrss right after the build; median, 25th and 75th "
                    "percentiles (statistics.quantiles, exclusive method), min and max "
-                   "reported"),
+                   "reported; build_s_ratio_to_<first tree> is the per-repeat ratio of "
+                   "build_s over the first tree's, with the count of repeats below 1"),
         "cases": cases,
     }
     with open("BENCH_build.json", "w", encoding="ascii") as fh:

@@ -16,6 +16,7 @@ integer identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -325,7 +326,9 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
     f-parts are each composed with an Euler network re-deriving the same
     draws the estimator consumed, padded by identity towers (below f, above
     g) onto the depth identity of their level, and merged by one parallel
-    sum with coefficients 1/M^n and +/-(T-t)/M^(n-l).  Builds whose
+    sum with coefficients 1/M^n and +/-(T-t)/M^(n-l).  Each correction
+    summand is assembled as one ``compose_chain``, and the zero network,
+    the padded g and the identity pads are built once per build and shared.  Builds whose
     predicted dense parameter count exceeds the guard are rejected up front
     with a size report.
     """
@@ -357,28 +360,53 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
         return build_euler_network(networks.mu, networks.sigma, grid, sample,
                                    branch, start, stop)
 
-    def build_level(level: int, branch: IndexPath, start: float) -> ReluNetwork:
+    # networks that depend only on a depth are immutable: one of each per build
+    @functools.cache
+    def level_parts(level: int) -> tuple[int, ReluNetwork]:
+        """The depth of a level-``level`` network, and its shared part: the
+        zero network at level 0, g padded onto the terminal summands' depth
+        above."""
         depth = mlp_depth_identity(level, grid.steps, len(mu_arch), len(sigma_arch),
                                    f_depth, g_depth)
         if level == 0:
-            return zero_network(d, 1, depth)
+            return depth, zero_network(d, 1, depth)
+        return depth, extend_depth(networks.g, depth - y_depth + 1)
 
-        def correction(core: ReluNetwork) -> ReluNetwork:
-            return compose(networks.f, extend_depth(core, depth - f_depth + 1))
+    @functools.cache
+    def pad(depth: int) -> ReluNetwork:
+        return identity_network(1, depth)
 
+    def correction(depth: int, ynet: ReluNetwork, sub: ReluNetwork) -> ReluNetwork:
+        """f(sub(ynet(x))), the inner chain padded to f's input depth, as one chain.
+
+        The same layers as compose(f, extend_depth(compose(sub, ynet), ...)):
+        composition is layer-associative, a padding gap of two or more is a
+        composition with an identity network, and a gap of one inserts its
+        pad layer before sub's last layer either way.
+        """
+        gap = depth - f_depth + 1 - (ynet.depth + sub.depth - 1)
+        if gap == 1:
+            return compose_chain([ynet, extend_depth(sub, sub.depth + 1), networks.f])
+        if gap >= 2:
+            return compose_chain([ynet, sub, pad(gap + 1), networks.f])
+        return compose_chain([ynet, sub, networks.f])
+
+    def build_level(level: int, branch: IndexPath, start: float) -> ReluNetwork:
+        depth, shared = level_parts(level)
+        if level == 0:
+            return shared
         terminal, groups = picard_branches(branch, level, M)
-        g_pad = extend_depth(networks.g, depth - y_depth + 1)
-        parts = [compose(g_pad, euler_net(key, start, T)) for key in terminal]
+        parts = [compose(shared, euler_net(key, start, T)) for key in terminal]
         coefs = [1.0 / len(terminal)] * len(terminal)
         for l, group in enumerate(groups):
             weight = (T - start) / len(group)
             for key, partner in group:
                 ts = uniform_time(sample, key, start, T)
                 ynet = euler_net(key, start, ts)
-                parts.append(correction(compose(build_level(l, key, ts), ynet)))
+                parts.append(correction(depth, ynet, build_level(l, key, ts)))
                 coefs.append(weight)
                 if partner is not None:
-                    parts.append(correction(compose(build_level(l - 1, partner, ts), ynet)))
+                    parts.append(correction(depth, ynet, build_level(l - 1, partner, ts)))
                     coefs.append(-weight)
         return sum_networks(coefs, parts)
 

@@ -10,11 +10,16 @@ reassociation.
 Layer arrays are read-only, so networks share them: a composition, sum
 or padding stores the layers it inherits as they are and allocates only
 the layers it changes.  The public ``ReluNetwork`` constructor copies the
-arrays it is given once, so nothing a caller holds aliases a network.
+arrays it is given once and checks every layer, so nothing a caller holds
+aliases a network.
 
 Every network carries its width vector (``widths``), read off the layer
-shapes once when it is made, so the architecture identities each
-construction checks never re-walk an operand's layers.  A chain of
+shapes when it is made.  A construction trusts the layers it inherits,
+which are read-only and were checked when their network was made, and
+takes their widths from the operands' stored ``widths``.  It checks and
+seals only the layers it creates: the glue pair at every composition
+seam, every layer of a parallel sum, and an inserted padding layer; each
+fresh run must link to the trusted layers on both sides.  A chain of
 compositions is assembled once by ``compose_chain``, not one binary
 ``compose`` at a time.
 """
@@ -41,24 +46,37 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
-def _check_layers(layers) -> Architecture:
-    """Check that the layers link up; return their width vector."""
-    if len(layers) < 2:
-        raise NetworkError("a network needs at least one hidden layer")
-    widths: list[int] = []
-    for idx, (w, b) in enumerate(layers):
+def _check_run(layers, inputs: int, at: int = 0) -> list[int]:
+    """Check a run of consecutive layers whose first takes ``inputs`` values;
+    return the width each layer emits.  ``at`` numbers the first in errors."""
+    emitted = []
+    for idx, (w, b) in enumerate(layers, at):
         if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
             raise NetworkError(f"layer {idx}: weight {w.shape} / bias {b.shape} mismatch")
         if w.shape[0] < 1 or w.shape[1] < 1:
             raise NetworkError(f"layer {idx}: zero-sized layer")
-        if not widths:
-            widths.append(w.shape[1])
-        elif w.shape[1] != widths[-1]:
+        if w.shape[1] != inputs:
             raise NetworkError(
-                f"layer {idx}: expects {w.shape[1]} inputs, previous layer emits {widths[-1]}"
+                f"layer {idx}: expects {w.shape[1]} inputs, previous layer emits {inputs}"
             )
-        widths.append(w.shape[0])
-    return tuple(widths)
+        inputs = w.shape[0]
+        emitted.append(inputs)
+    return emitted
+
+
+def _check_layers(layers) -> Architecture:
+    """Check that the layers link up; return their width vector."""
+    if len(layers) < 2:
+        raise NetworkError("a network needs at least one hidden layer")
+    w0 = layers[0][0]
+    inputs = w0.shape[1] if w0.ndim == 2 else 0  # a malformed w0 fails in _check_run
+    return (inputs, *_check_run(layers, inputs))
+
+
+def _seal(layers) -> None:
+    for w, b in layers:
+        w.setflags(write=False)
+        b.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -93,22 +111,42 @@ class ReluNetwork:
         return len(self.widths)
 
 
-def _assemble(layers) -> ReluNetwork:
-    """The network over ``layers`` as they are, without copies.
+def _assemble(layers, widths: Architecture) -> ReluNetwork:
+    """The network over ``layers`` with width vector ``widths``, as they are.
 
-    Only the constructions in this module call it.  Their layers are
-    arrays they have just allocated, which are sealed read-only here, and
-    layers of the networks they build on, which are read-only already.
+    Only the constructions in this module call it, and it re-checks
+    nothing.  Layers inherited from an operand are trusted: they are
+    read-only and were checked when that operand was made, and the caller
+    takes their widths from the operand's ``widths``.  The caller has
+    checked and sealed every layer it created (``_fresh``, ``_new_network``)
+    against its trusted neighbours.
     """
-    layers = tuple(layers)
-    for pair in layers:
-        for a in pair:
-            if a.flags.writeable:
-                a.setflags(write=False)
     net = object.__new__(ReluNetwork)
-    object.__setattr__(net, "widths", _check_layers(layers))
-    object.__setattr__(net, "layers", layers)
+    object.__setattr__(net, "widths", widths)
+    object.__setattr__(net, "layers", tuple(layers))
     return net
+
+
+def _fresh(layers, inputs: int, outputs: int, at: int) -> list[int]:
+    """Check and seal a run of layers a construction has just made, between
+    trusted ones: the run must take ``inputs`` values and emit ``outputs``.
+    Returns the width each fresh layer emits; ``at`` is the index of the
+    first of them in the new network, for errors."""
+    emitted = _check_run(layers, inputs, at)
+    if emitted[-1] != outputs:
+        raise NetworkError(
+            f"layer {at + len(layers) - 1}: emits {emitted[-1]}, next layer expects {outputs}"
+        )
+    _seal(layers)
+    return emitted
+
+
+def _new_network(layers) -> ReluNetwork:
+    """The network over layers that are all fresh: checked whole, then sealed."""
+    layers = tuple(layers)
+    widths = _check_layers(layers)
+    _seal(layers)
+    return _assemble(layers, widths)
 
 
 def architecture(net: ReluNetwork) -> Architecture:
@@ -207,7 +245,7 @@ def identity_network(d: int, depth: int = 3) -> ReluNetwork:
     for _ in range(depth - 3):
         layers.append((np.eye(2 * d), np.zeros(2 * d)))
     layers.append((split.T.copy(), np.zeros(d)))
-    return _assemble(layers)
+    return _new_network(layers)
 
 
 def zero_network(in_dim: int, out_dim: int, depth: int = 3) -> ReluNetwork:
@@ -219,7 +257,7 @@ def zero_network(in_dim: int, out_dim: int, depth: int = 3) -> ReluNetwork:
         (np.zeros((widths[i + 1], widths[i])), np.zeros(widths[i + 1]))
         for i in range(len(widths) - 1)
     ]
-    return _assemble(layers)
+    return _new_network(layers)
 
 
 def affine_network(w: Sequence[Sequence[float]], b: Sequence[float], depth: int = 3) -> ReluNetwork:
@@ -229,13 +267,14 @@ def affine_network(w: Sequence[Sequence[float]], b: Sequence[float], depth: int 
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     q = w.shape[0]
-    first = (np.vstack([w, -w]), np.concatenate([b, -b]))
+    first = (np.concatenate([w, -w]), np.concatenate([b, -b]))
     layers = [first]
     for _ in range(depth - 3):
         layers.append((np.eye(2 * q), np.zeros(2 * q)))
-    merge = np.hstack([np.eye(q), -np.eye(q)])
+    eye = np.eye(q)
+    merge = np.concatenate([eye, -eye], axis=1)
     layers.append((merge, np.zeros(q)))
-    return _assemble(layers)
+    return _new_network(layers)
 
 
 def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
@@ -260,12 +299,18 @@ def compose_chain(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     is layer-associative.  A network may appear more than once (an Euler
     chain repeats one bracket for all its dead intervals): its layers are
     read-only and shared.
+
+    The links' own layers are trusted and their widths read from their
+    ``widths``; only the glue pair at each seam is checked, against the
+    layers it joins.  The width vector so assembled must equal the fold of
+    ``compose_architecture`` over the chain.
     """
     if not nets:
         raise NetworkError("need at least one network to compose")
     if len(nets) == 1:
         return nets[0]
     layers = list(nets[0].layers[:-1])
+    widths = list(nets[0].widths[:-1])
     arch = nets[0].widths
     for inner, outer in zip(nets, nets[1:]):
         if inner.output_dim != outer.input_dim:
@@ -275,15 +320,19 @@ def compose_chain(nets: Sequence[ReluNetwork]) -> ReluNetwork:
             )
         w_last, b_last = inner.layers[-1]
         a_first, a_bias = outer.layers[0]
-        layers.append((np.vstack([w_last, -w_last]), np.concatenate([b_last, -b_last])))
-        layers.append((np.hstack([a_first, -a_first]), a_bias))
-        layers.extend(outer.layers[1:-1])
+        glue = ((np.concatenate([w_last, -w_last]), np.concatenate([b_last, -b_last])),
+                (np.concatenate([a_first, -a_first], axis=1), a_bias))
+        widths += _fresh(glue, inner.widths[-2], outer.widths[1], len(layers))
+        layers += glue
+        layers += outer.layers[1:-1]
+        widths += outer.widths[2:-1]
         arch = compose_architecture(outer.widths, arch)
     layers.append(nets[-1].layers[-1])
-    net = _assemble(layers)
-    if net.widths != arch:
+    widths.append(nets[-1].widths[-1])
+    widths = tuple(widths)
+    if widths != arch:
         raise NetworkError("composed architecture breaks the composition identity")
-    return net
+    return _assemble(layers, widths)
 
 
 def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> ReluNetwork:
@@ -291,24 +340,27 @@ def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> 
 
     All summands must share input dimension, output dimension and depth.
     First-layer weights stack vertically, hidden layers go block-diagonal,
-    and the coefficients fold into the final affine layer.
+    and the coefficients fold into the final affine layer.  Every layer of
+    a sum of several networks is fresh and checked, and its width vector
+    must equal ``sum_architecture`` of the summands'; a single summand
+    keeps its trusted layers and only its rescaled last layer is checked.
     """
     if len(coefficients) != len(nets) or not nets:
         raise NetworkError("need one coefficient per network, and at least one network")
-    depth = nets[0].depth
-    p, q = nets[0].input_dim, nets[0].output_dim
-    for net in nets[1:]:
-        if net.depth != depth or net.input_dim != p or net.output_dim != q:
-            raise NetworkError("summands must share depth and endpoint dimensions")
+    arch = sum_architecture([net.widths for net in nets])  # checks depth and endpoints
     if len(nets) == 1:
         h = float(coefficients[0])
+        widths = nets[0].widths
         w_last, b_last = nets[0].layers[-1]
-        return _assemble(nets[0].layers[:-1] + ((h * w_last, h * b_last),))
+        last = (h * w_last, h * b_last)
+        _fresh((last,), widths[-2], widths[-1], len(widths) - 2)
+        return _assemble(nets[0].layers[:-1] + (last,), widths)
     n_aff = len(nets[0].layers)
+    q = nets[0].output_dim
     layers = []
     layers.append(
         (
-            np.vstack([net.layers[0][0] for net in nets]),
+            np.concatenate([net.layers[0][0] for net in nets]),
             np.concatenate([net.layers[0][1] for net in nets]),
         )
     )
@@ -323,13 +375,14 @@ def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> 
             r += bk.shape[0]
             c += bk.shape[1]
         layers.append((w, np.concatenate([net.layers[j][1] for net in nets])))
-    w_fin = np.hstack([float(h) * net.layers[-1][0] for h, net in zip(coefficients, nets)])
+    w_fin = np.concatenate([float(h) * net.layers[-1][0] for h, net in zip(coefficients, nets)],
+                           axis=1)
     b_fin = np.zeros(q)
     for h, net in zip(coefficients, nets):
         b_fin = b_fin + float(h) * net.layers[-1][1]
     layers.append((w_fin, b_fin))
-    net = _assemble(layers)
-    if net.widths != sum_architecture([n.widths for n in nets]):
+    net = _new_network(layers)
+    if net.widths != arch:
         raise NetworkError("summed architecture breaks the sum identity")
     return net
 
@@ -338,8 +391,8 @@ def extend_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
     """Same realization, architecture padded to the requested depth.
 
     A gap of one inserts a plain (Id, 0) hidden layer, which is exact
-    because max(0, x) = max(0, max(0, x)); larger gaps compose with an
-    identity network on the output side.
+    because max(0, x) = max(0, max(0, x)), and checks only that layer;
+    larger gaps compose with an identity network on the output side.
     """
     gap = target_depth - net.depth
     if gap < 0:
@@ -349,8 +402,9 @@ def extend_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
     if gap == 1:
         k = net.layers[-1][0].shape[1]
         pad = (np.eye(k), np.zeros(k))
-        layers = net.layers[:-1] + (pad, net.layers[-1])
-        return _assemble(layers)
+        _fresh((pad,), net.widths[-2], k, net.depth - 2)
+        return _assemble(net.layers[:-1] + (pad, net.layers[-1]),
+                         net.widths[:-1] + (k, net.widths[-1]))
     return compose(identity_network(net.output_dim, gap + 1), net)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
@@ -62,9 +63,15 @@ def effective_breakpoints(grid: TimeGrid, t: float, s: float) -> tuple[float, ..
     """
     if s < t:
         raise SimulationError(f"query time {s} precedes start time {t}")
-    pts = {t, s}
-    pts.update(p for p in grid.points if t < p <= s)
-    return tuple(sorted(pts))
+    points = grid.points
+    out = [t]
+    # the sorted grid's points in (t, s), bisected: only these are touched
+    for p in points[bisect_right(points, t):bisect_left(points, s)]:
+        if p != out[-1]:
+            out.append(p)
+    if s != t:
+        out.append(s)
+    return tuple(out)
 
 
 def euler_run(problem, breakpoints: Sequence[float], states: np.ndarray,

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from picardnet import (
+    ROOT_PATH,
+    FrozenSample,
+    MlpConfig,
     NetworkError,
     ReluNetwork,
     affine_network,
     architecture,
+    build_mlp_network,
     compose,
     compose_architecture,
     compose_chain,
@@ -23,8 +27,10 @@ from picardnet import (
     realize,
     sum_architecture,
     sum_networks,
+    uniform_grid,
     zero_network,
 )
+from picardnet.problems import network_encodings
 from conftest import random_network
 
 SIGN_SPLIT = ReluNetwork(
@@ -83,14 +89,24 @@ def test_compose_shares_inherited_layers(rng):
     assert net.layers[len(inner.layers)][1] is outer.layers[0][1]
 
 
-def test_every_stored_array_is_read_only(rng):
+def test_every_stored_array_is_read_only(rng, relu_entry):
     a, b = random_network(rng, 2, 1, 4), random_network(rng, 2, 1, 4)
+    f = random_network(rng, 1, 1, 3)
+    encodings = network_encodings(relu_entry.problem)
+    grid = uniform_grid(relu_entry.problem.horizon, 2)
+    built = [build_mlp_network(encodings, MlpConfig(n, 2, grid, FrozenSample(3)), ROOT_PATH, 0.0)
+             for n in (0, 2)]
     nets = [
         a, compose(a, identity_network(2, 3)), sum_networks([0.5], [a]),
         sum_networks([1.0, -2.0], [a, b]), extend_depth(a, 5), extend_depth(a, 7),
         identity_network(2, 4), zero_network(2, 3, 4), affine_network([[1.0, 2.0]], [0.5], 4),
         network_from_json(network_to_json(a)),
         compose_chain([identity_network(2, 3), identity_network(2, 4), a]),
+        # a correction summand as the builder chains it (Euler part, sub-level
+        # network, identity pad, f), and built networks, which share the
+        # builder's zero network (level 0) and identity pads (level 2)
+        compose_chain([identity_network(2, 3), a, identity_network(1, 4), f]),
+        built[0].network, built[1].network,
     ]
     for net in nets:
         assert net.widths == _shape_widths(net)
@@ -225,6 +241,50 @@ def test_compose_identity_check_raises_network_error(rng, monkeypatch):
     monkeypatch.setattr(nets, "compose_architecture", lambda outer, inner: (0,))
     with pytest.raises(NetworkError):
         compose(f, g)
+
+
+def test_sum_identity_check_raises_network_error(rng, monkeypatch):
+    import picardnet.nets as nets
+
+    a, b = random_network(rng, 2, 1, 4), random_network(rng, 2, 1, 4, width=3)
+    monkeypatch.setattr(nets, "sum_architecture", lambda archs: (0,))
+    with pytest.raises(NetworkError):
+        sum_networks([1.0, -1.0], [a, b])
+
+
+def test_malformed_glue_layer_at_a_seam_raises_network_error(rng):
+    # inherited layers are trusted, so a network whose last bias disagrees
+    # with its weight is caught only by the fresh glue layer built from it
+    import picardnet.nets as nets
+
+    good = random_network(rng, 2, 3, 3)
+    w_last, b_last = good.layers[-1]
+    bad = nets._assemble(good.layers[:-1] + ((w_last, b_last[:2]),), good.widths)
+    for chain in ([bad, random_network(rng, 3, 1, 3)],
+                  [random_network(rng, 1, 2, 4), bad, random_network(rng, 3, 2, 3)]):
+        with pytest.raises(NetworkError, match="mismatch"):
+            compose_chain(chain)
+    # a first layer that emits fewer values than the next layer takes
+    w0, b0 = good.layers[0]
+    short = nets._assemble(((w0[:3], b0[:3]),) + good.layers[1:], good.widths)
+    with pytest.raises(NetworkError, match="next layer expects"):
+        compose(short, random_network(rng, 1, 2, 3))
+
+
+def test_built_layers_check_out_to_the_predicted_architecture(relu_entry, bs_entry):
+    # assembly trusts inherited layers; a full walk of the built layers must
+    # still give the stored widths and the prediction
+    from picardnet.nets import _check_layers
+
+    cases = [(entry, n, M, 2, 5) for entry in (relu_entry, bs_entry)
+             for n in (0, 1, 2, 3) for M in (1, 2, 3)]
+    cases.append((bs_entry, 3, 2, 2, 19))  # the level-3 golden row
+    for entry, n, M, steps, seed in cases:
+        grid = uniform_grid(entry.problem.horizon, steps)
+        built = build_mlp_network(network_encodings(entry.problem),
+                                  MlpConfig(n, M, grid, FrozenSample(seed)), ROOT_PATH, 0.1)
+        net = built.network
+        assert _check_layers(net.layers) == net.widths == built.prediction.architecture
 
 
 def test_sum_architecture_formula_and_cancellation(rng):

@@ -47,6 +47,21 @@ def test_effective_breakpoints():
         effective_breakpoints(grid, 0.5, 0.2)
 
 
+def test_effective_breakpoints_match_the_set_form():
+    # the bisected walk against the definition, {t, s} plus the grid points
+    # in (t, s], sorted and deduplicated: grids with repeated points, t == s,
+    # and t or s on a grid point
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        inner = rng.choice(np.round(rng.uniform(0.0, 1.0, 4), 2), size=int(rng.integers(0, 9)))
+        grid = TimeGrid((0.0, *sorted(inner.tolist()), 1.0))
+        times = sorted({*grid.points, *rng.uniform(0.0, 1.0, 3).tolist()})
+        for i, t in enumerate(times):
+            for s in times[i:]:
+                want = tuple(sorted({t, s} | {p for p in grid.points if t < p <= s}))
+                assert effective_breakpoints(grid, t, s) == want
+
+
 def test_frozen_dynamics_returns_start():
     grid = uniform_grid(1.0, 4)
     x = np.array([2.5])
