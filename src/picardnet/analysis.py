@@ -271,7 +271,7 @@ def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProble
             if est + 3 * se > worst_est + 3 * worst_se:
                 worst_est, worst_se = est, se
             path_gap = max(path_gap, float(np.linalg.norm(xa - xb, axis=1).mean()))
-        phi_x = constants.phi(problem_a.d, x)
+        phi_x = lyapunov_phi(problem_a.d, constants.c, x)
         bound = perturbation_bound(constants.delta, constants.q, constants.b,
                                    constants.c, horizon, t, phi_x)
         inflated = worst_est + 3.0 * worst_se + oracle_budget
@@ -350,12 +350,12 @@ def fullerror_check(problem: SemilinearProblem, reference: Callable,
     """Measured RMSE against the full-error bound, one row per (n, M)."""
     rows = []
     margin = math.inf
-    ref = float(reference(t, np.asarray(x, dtype=np.float64)))
+    ref = float(reference(t, np.asarray(x, dtype=np.float64)[None])[0])
     for n, M in pairs:
         grid = grid_fn(M) if grid_fn else uniform_grid(problem.horizon, M**M)
         cfg = MlpConfig(n, M, grid, FrozenSample(base_seed))
         measured = mlp_rmse(problem, cfg, t, x, ref, seeds)
-        phi_x = constants.phi(problem.d, x)
+        phi_x = lyapunov_phi(problem.d, constants.c, x)
         bound = fullerror_bound(n, M, delta, constants, problem.horizon, phi_x)
         ratio = measured / bound if bound > 0 else math.inf
         rows.append(

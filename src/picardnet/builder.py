@@ -380,13 +380,14 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
         """f(sub(ynet(x))), the inner chain padded to f's input depth, as one chain.
 
         The same layers as compose(f, extend_depth(compose(sub, ynet), ...)):
-        composition is layer-associative, a padding gap of two or more is a
-        composition with an identity network, and a gap of one inserts its
-        pad layer before sub's last layer either way.
+        composition is layer-associative and a padding gap of two or more is
+        a composition with an identity network.  By the depth identity a
+        level-n correction over a level-l sub has gap
+        (n - l - 1)(f_depth + y_depth - 2), and every depth is at least 2,
+        so the gap is never 1.  A gap of 1 would leave this summand one
+        layer short, and the level's sum_networks would raise NetworkError.
         """
         gap = depth - f_depth + 1 - (ynet.depth + sub.depth - 1)
-        if gap == 1:
-            return compose_chain([ynet, extend_depth(sub, sub.depth + 1), networks.f])
         if gap >= 2:
             return compose_chain([ynet, sub, pad(gap + 1), networks.f])
         return compose_chain([ynet, sub, networks.f])

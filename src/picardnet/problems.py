@@ -55,26 +55,22 @@ def squared_norms(X: np.ndarray) -> np.ndarray:
 class ReferenceSolution:
     """u(t, x) by closed form or by a pinned high-level estimator.
 
-    The evaluator maps t and an (N, d) batch to the (N,) values of u.  The
-    solution itself takes either one (d,) point, and returns a float, or
-    an (N, d) batch, and returns the (N,) array.
+    The evaluator, and the solution itself, map t and an (N, d) batch to
+    the (N,) values of u.
     """
 
     kind: str  # "closed-form" | "derived-oracle"
     evaluator: Callable[[float, np.ndarray], np.ndarray]
     note: str = ""
 
-    def __call__(self, t: float, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return float(self.evaluator(float(t), x[None])[0])
-        return self.evaluator(float(t), x)
+    def __call__(self, t: float, X) -> np.ndarray:
+        return self.evaluator(float(t), np.asarray(X, dtype=np.float64))
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Moment/growth constants (delta, q, b, beta, p, c) and the Lyapunov
-    quadratic phi(x) = d^(2c) + |x|^2 they refer to."""
+    """Moment/growth constants (delta, q, b, beta, p, c); the Lyapunov
+    quadratic they refer to is analysis.lyapunov_phi(d, c, x)."""
 
     delta: float
     q: float
@@ -88,10 +84,6 @@ class PerturbationSpec:
             raise EncodingError("constants outside the admissible ranges")
         if self.p < 2 * self.beta:
             raise EncodingError("p must be at least 2*beta")
-
-    def phi(self, d: int, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return float(d ** (2.0 * self.c) + float(x @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +364,9 @@ def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
     """Reference by averaged high-level estimates; memoized per (t, x).
 
     The estimator's own convergence justifies using a higher level than
-    the system under test; the replication spread is kept alongside.
+    the system under test.
     """
-    cache: dict[tuple, tuple[float, float]] = {}
+    cache: dict[tuple, float] = {}
 
     def evaluate(t: float, X: np.ndarray) -> np.ndarray:
         return np.array([evaluate_point(t, x) for x in X])
@@ -387,10 +379,8 @@ def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
             for i in range(seeds):
                 cfg = MlpConfig(n, M, grid, FrozenSample(seed0 + i))
                 vals.append(mlp_estimate(problem, cfg, ROOT_PATH, t, x))
-            mean = float(np.mean(vals))
-            sem = float(np.std(vals, ddof=1) / math.sqrt(seeds)) if seeds > 1 else math.inf
-            cache[key] = (mean, sem)
-        return cache[key][0]
+            cache[key] = float(np.mean(vals))
+        return cache[key]
 
     return ReferenceSolution("derived-oracle", evaluate,
                              note=f"picard oracle n={n}, M={M}, {seeds} seeds")

@@ -221,7 +221,7 @@ def test_fullerror_zero_level(ode_entry):
     report = fullerror_check(problem, ref, ode_entry.constants, [(0, 1)],
                              0.0, np.zeros(1), seeds=3)
     row = report.rows[0]
-    assert row["rmse"] == pytest.approx(abs(ref(0.0, np.zeros(1))))
+    assert row["rmse"] == pytest.approx(abs(ref(0.0, np.zeros((1, 1)))[0]))
     assert row["pass"]
 
 

@@ -27,15 +27,15 @@ def test_catalog_contains_required_entries():
 
 
 def test_ode_reference_value(ode_entry):
-    assert ode_entry.reference(0.0, np.zeros(1)) == pytest.approx(math.e)
-    assert ode_entry.reference(1.0, np.zeros(1)) == pytest.approx(1.0)
+    assert ode_entry.reference(0.0, np.zeros((1, 1)))[0] == pytest.approx(math.e)
+    assert ode_entry.reference(1.0, np.zeros((1, 1)))[0] == pytest.approx(1.0)
 
 
 def test_heat_reference_values():
     entry = catalog_entry("heat", d=2)
-    assert entry.reference(0.0, np.zeros(2)) == pytest.approx(4.0)
+    assert entry.reference(0.0, np.zeros((1, 2)))[0] == pytest.approx(4.0)
     x = np.array([1.0, -2.0])
-    assert entry.reference(1.0, x) == pytest.approx(entry.problem.g(x))
+    assert entry.reference(1.0, x[None])[0] == pytest.approx(entry.problem.g(x))
 
 
 def test_unknown_problem_rejected():
@@ -170,17 +170,17 @@ def test_feynman_kac_fixed_point_closed_forms(rng):
                 else:
                     mid = simulate_terminal_batch(problem, grid, t, x, s,
                                                   n_paths // 4, seed=1700 + probe)["terminal"]
-                fbar = float(np.mean([problem.f(ref(s, y)) for y in mid]))
+                fbar = float(np.mean([problem.f(ref(s, y[None])[0]) for y in mid]))
                 integral += weight * half * fbar
             fk = gbar + integral
-            want = ref(t, x)
+            want = ref(t, x[None])[0]
             assert fk == pytest.approx(want, rel=0.02, abs=0.02 * (1 + abs(want)))
 
 
 def test_oracle_reference_close_to_estimator_limit(relu_entry):
     # the derived-oracle reference agrees with an independent moderate run
     problem = relu_entry.problem
-    ref = relu_entry.reference(0.0, np.zeros(problem.d))
+    ref = relu_entry.reference(0.0, np.zeros((1, problem.d)))[0]
     cfg = MlpConfig(3, 3, uniform_grid(problem.horizon, 27), FrozenSample(31_000))
     vals = [
         mlp_estimate(problem, MlpConfig(3, 3, cfg.grid, FrozenSample(31_000 + i)),
