@@ -12,15 +12,18 @@ Cases:
   opens 7,528 substreams, and each of its Euler paths is a batch of one
   row, so the K = 8 case also guards ``picardnet solve`` against per-step
   overhead in the Euler kernel.
+- ``reference 4 points``: relu-exact's oracle reference, d = 2, at t = 0 on
+  four fixed points, each the mean of 16 level-3 estimates on 27 steps,
+  reported in seconds (5 runs per tree).
 
-The output is the SHA-256 of every draw's bytes, or the estimate's
+The output is the SHA-256 of every draw's bytes, or the estimates'
 ``float.hex``, so runs of different source trees can be shown to draw the
 same bits.
 
     python3 bench/estimate.py parent=PARENT/src change=src
 
 writes BENCH_estimate.json in the current directory: 11 runs of each case
-per tree, by the method in ``harness.py``.
+per tree (5 for the reference), by the method in ``harness.py``.
 """
 
 from __future__ import annotations
@@ -58,11 +61,24 @@ def estimate(n: int, steps: int):
     return lambda: mlp_estimate(problem, config, ROOT_PATH, 0.0, x), float.hex
 
 
+def reference():
+    """Set up relu-exact's oracle reference at four fixed points, t = 0."""
+    import numpy as np
+
+    from picardnet import catalog_entry
+
+    entry = catalog_entry("relu-exact", d=2)
+    X = np.array([[0.25, -0.5], [0.0, 0.0], [-0.75, 0.5], [1.0, 0.25]])
+    return (lambda: entry.reference(0.0, X),
+            lambda values: " ".join(float(v).hex() for v in values))
+
+
 CASES = {
     "uniform01": harness.Case(functools.partial(draws, None), **PER_SUBSTREAM),
     "normals 9x2": harness.Case(functools.partial(draws, (9, 2)), **PER_SUBSTREAM),
     **{f"estimate n=M={n} K={steps}": harness.Case(functools.partial(estimate, n, steps))
        for n, steps in ((3, 8), (4, 8), (4, 64))},
+    "reference 4 points": harness.Case(reference, repeats=5),
 }
 
 if __name__ == "__main__":

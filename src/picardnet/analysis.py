@@ -112,8 +112,8 @@ def _batch_increments(seed: int, tag: int, breakpoints: Sequence[float], n_paths
 
 
 def simulate_terminal_batch(problem: SemilinearProblem, grid: TimeGrid, t: float,
-                            x, s: float, n_paths: int, seed: int) -> dict:
-    """n_paths Euler states at time s, batched: {"terminal": (n_paths, d) array}.
+                            x, s: float, n_paths: int, seed: int) -> np.ndarray:
+    """The (n_paths, d) Euler states at time s, batched.
 
     One derived substream drives the whole batch; rows are paths.  The
     steps run through ``sde.euler_run``, so a non-finite state raises
@@ -123,16 +123,16 @@ def simulate_terminal_batch(problem: SemilinearProblem, grid: TimeGrid, t: float
     states = np.tile(np.asarray(x, dtype=np.float64).reshape(problem.d), (n_paths, 1))
     increments = _batch_increments(seed, 0, breakpoints, n_paths, problem.d)
     euler_run(problem, breakpoints, states, increments, (0,))
-    return {"terminal": states}
+    return states
 
 
 # ---------------------------------------------------------------------------
 # Lyapunov moment bound
 # ---------------------------------------------------------------------------
 
-def lyapunov_phi(d: int, c_phi: float, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    return float(d ** (2.0 * c_phi) + x @ x)
+def lyapunov_phi(d: int, c_phi: float, X) -> np.ndarray:
+    """phi(x) = d^(2 c_phi) + |x|^2 of every row of an (N, d) batch, as (N,)."""
+    return d ** (2.0 * c_phi) + squared_norms(np.asarray(X, dtype=np.float64))
 
 
 def _exp_saturating(log_value: float) -> float:
@@ -180,12 +180,11 @@ def lyapunov_check(problem: SemilinearProblem, kappa: float, c: float,
     margin = math.inf
     for idx, (t, s, x) in enumerate(probes):
         g = grid or uniform_grid(problem.horizon, 1)
-        batch = simulate_terminal_batch(problem, g, t, x, s, n_paths, seed + idx)
-        phis = problem.d ** (2.0 * c_phi) + squared_norms(batch["terminal"])
-        vals = phis**kappa
+        states = simulate_terminal_batch(problem, g, t, x, s, n_paths, seed + idx)
+        vals = lyapunov_phi(problem.d, c_phi, states)**kappa
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(n_paths))
-        phi_x = lyapunov_phi(problem.d, c_phi, x)
+        phi_x = lyapunov_phi(problem.d, c_phi, [x])[0]
         bound = lyapunov_bound(kappa, c, s - t, phi_x)
         inflated = est + 3.0 * se
         rows.append(
@@ -271,7 +270,7 @@ def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProble
             if est + 3 * se > worst_est + 3 * worst_se:
                 worst_est, worst_se = est, se
             path_gap = max(path_gap, float(np.linalg.norm(xa - xb, axis=1).mean()))
-        phi_x = lyapunov_phi(problem_a.d, constants.c, x)
+        phi_x = lyapunov_phi(problem_a.d, constants.c, [x])[0]
         bound = perturbation_bound(constants.delta, constants.q, constants.b,
                                    constants.c, horizon, t, phi_x)
         inflated = worst_est + 3.0 * worst_se + oracle_budget
@@ -355,7 +354,7 @@ def fullerror_check(problem: SemilinearProblem, reference: Callable,
         grid = grid_fn(M) if grid_fn else uniform_grid(problem.horizon, M**M)
         cfg = MlpConfig(n, M, grid, FrozenSample(base_seed))
         measured = mlp_rmse(problem, cfg, t, x, ref, seeds)
-        phi_x = lyapunov_phi(problem.d, constants.c, x)
+        phi_x = lyapunov_phi(problem.d, constants.c, [x])[0]
         bound = fullerror_bound(n, M, delta, constants, problem.horizon, phi_x)
         ratio = measured / bound if bound > 0 else math.inf
         rows.append(
@@ -398,9 +397,6 @@ class GrowthRecipe:
             if rate <= eps / 2.0:
                 return n
         return None
-
-    def delta(self, d: int, eps: float) -> float:
-        return self.delta_of(d, eps)
 
 
 def paper_rate_constant(d: int, q: float, b: float, c: float, B: float,
@@ -486,7 +482,7 @@ def growth_fit(problem_factory: Callable[[int], object], d_list: Sequence[int],
             if level is None:
                 skipped.append({"d": d, "eps": eps, "reason": "no level within range"})
                 continue
-            delta = recipe.delta(d, eps)
+            delta = recipe.delta_of(d, eps)
             entry = problem_factory(d)
             problem = entry.problem
             try:

@@ -180,14 +180,10 @@ def _time_grid(cfg: dict, horizon: float, M: int) -> TimeGrid:
 
 
 def _probes(cfg: dict, d: int) -> list[np.ndarray]:
-    pts = cfg.get("probes", [])
-    out = []
-    for p in pts:
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.shape != (d,):
+    for p in cfg.get("probes", []):
+        if len(p) != d:
             raise ConfigError(f"probe {p} has wrong dimension (want {d})")
-        out.append(arr)
-    return out
+    return [np.asarray(p, dtype=np.float64) for p in cfg.get("probes", [])]
 
 
 def _level(cfg: dict, command: str) -> tuple[int, int]:
@@ -235,8 +231,8 @@ def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     t = cfg.get("t", 0.0)
     probes = _probes(cfg, problem.d)
     config = MlpConfig(n, M, grid, FrozenSample(seed))
-    rows = [[t, *probe.tolist(), mlp_estimate(problem, config, ROOT_PATH, t, probe), seed]
-            for probe in probes]
+    estimates = mlp_estimate(problem, config, ROOT_PATH, t, np.reshape(probes, (-1, problem.d)))
+    rows = [[t, *probe.tolist(), u, seed] for probe, u in zip(probes, estimates.tolist())]
     header = ["t", *[f"x{i}" for i in range(problem.d)], "estimate", "seed"]
     write_csv(out_dir / "solve.csv", header, rows)
     return EXIT_OK
@@ -260,9 +256,9 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
         return EXIT_RESOURCE
 
     probes = _probes(cfg, problem.d) or [np.zeros(problem.d)]
+    estimates = mlp_estimate(problem, config, ROOT_PATH, t, np.array(probes)).tolist()
     worst = 0.0
-    for x in probes:
-        u = mlp_estimate(problem, config, ROOT_PATH, t, x)
+    for x, u in zip(probes, estimates):  # a batched realize would move the last bits
         r = float(realize(built.network, x)[0])
         worst = max(worst, abs(r - u) / (1.0 + abs(u)))
     pred = built.prediction

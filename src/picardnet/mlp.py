@@ -35,12 +35,12 @@ class MlpError(ValueError):
 class SemilinearProblem:
     """Terminal-value problem data (d, T, mu, sigma, f, g).
 
-    The coefficients take batches: mu and sigma map an (N, d) batch of
-    states to arrays that broadcast to (N, d) and (N, d, d), so a constant
-    coefficient may return its (d,) or (d, d) array unchanged.  The
-    nonlinearity f maps one value R -> R with Lipschitz constant at most
-    lipschitz_c, and g maps one point R^d -> R.  Optional exact or
-    delta-controlled network encodings are attached by the problem catalog.
+    Every callable takes a batch: mu and sigma map an (N, d) batch of states
+    to arrays that broadcast to (N, d) and (N, d, d), so a constant one may
+    return its (d,) or (d, d) array unchanged; g maps the (N, d) batch to
+    (N,); f maps an (N,) array elementwise, Lipschitz with constant at most
+    lipschitz_c.  Optional exact or delta-controlled network encodings are
+    attached by the problem catalog.
     """
 
     name: str
@@ -52,10 +52,6 @@ class SemilinearProblem:
     g: Callable
     lipschitz_c: float = 1.0
     encodings: Optional[Callable] = None
-
-    @property
-    def T(self) -> float:
-        return self.horizon
 
 
 @dataclass(frozen=True)
@@ -75,21 +71,27 @@ class MlpConfig:
 
 
 def mlp_estimate(problem: SemilinearProblem, config: MlpConfig, path: IndexPath,
-                 t: float, x) -> float:
+                 t: float, x):
     """Recursive multilevel Picard estimate at (t, x) under index path.
 
     Level 0 (and below) is the constant-zero estimator.  The terminal
     term averages g over M^n Euler paths keyed (path, 0, -i); each
     correction summand evaluates f at the level-l and level-(l-1)
     estimates at the shared sampled point (T_t, Y_{t,T_t}) keyed
-    (path, l, i) / (path, -l, i).
+    (path, l, i) / (path, -l, i).  Keys are paths, not points, so one walk
+    carries a whole batch, each row with the bits of its own walk: a point
+    of shape (d,) gives a float, and a batch of shape (N, d) gives (N,).
     """
-    n, M = config.n, config.M
     T = problem.horizon
     if not 0.0 <= t <= T:
         raise MlpError(f"time {t} outside [0, {T}]")
-    x = np.asarray(x, dtype=np.float64).reshape(problem.d)
-    return _estimate(problem, config, tuple(path), float(t), x, n)
+    X = np.asarray(x, dtype=np.float64)
+    if X.shape != (problem.d,) and (X.ndim != 2 or X.shape[1] != problem.d):
+        raise MlpError(f"x has shape {X.shape}, want ({problem.d},) or (N, {problem.d})")
+    # every level-0 estimate is 0, so f(0) stands for f of each of them
+    values = _estimate(problem, config, tuple(path), float(t), X.reshape(-1, problem.d),
+                       config.n, problem.f(np.zeros(1)))
+    return float(values[0]) if X.shape == (problem.d,) else values
 
 
 def sample_sizes(level: int, M: int) -> list[int]:
@@ -142,28 +144,31 @@ def predict_work(n: int, M: int) -> tuple[int, int]:
     return paths[n], streams[n]
 
 
-def _estimate(problem, config, path, t, x, level) -> float:
+def _estimate(problem, config, path, t, X, level, f0) -> np.ndarray:
+    """The (N,) level-``level`` estimates at the rows of X (0 at level <= 0)."""
     if level <= 0:
-        return 0.0
+        return np.zeros(len(X))
     T = problem.horizon
     terminal, groups = picard_branches(path, level, config.M)
-    total = 0.0
+
+    def f_of(key, ts, Y, l):
+        return problem.f(_estimate(problem, config, key, ts, Y, l, f0)) if l > 0 else f0
+
+    acc = np.zeros(len(X))
     for key in terminal:
-        y = euler_evaluate(problem, config.grid, config.sample, key, t, x, T)
-        total += float(problem.g(y))
-    acc = total / len(terminal)
+        acc += problem.g(euler_evaluate(problem, config.grid, config.sample, key, t, X, T))
+    acc /= len(terminal)
     for l, group in enumerate(groups):
-        block = 0.0
+        block = np.zeros(len(X))
         for key, partner in group:
             ts = uniform_time(config.sample, key, t, T)
-            y = euler_evaluate(problem, config.grid, config.sample, key, t, x, ts)
-            value = float(problem.f(_estimate(problem, config, key, ts, y, l)))
+            Y = euler_evaluate(problem, config.grid, config.sample, key, t, X, ts)
+            value = f_of(key, ts, Y, l)
             if partner is not None:
-                other = _estimate(problem, config, partner, ts, y, l - 1)
-                value -= float(problem.f(other))
+                value = value - f_of(partner, ts, Y, l - 1)
             block += value
         acc += (T - t) / len(group) * block
-    if not math.isfinite(acc):
+    if not np.isfinite(acc).all():
         raise NumericFailure("estimate non-finite", path)
     return acc
 

@@ -70,7 +70,7 @@ class ReferenceSolution:
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Moment/growth constants (delta, q, b, beta, p, c); the Lyapunov
-    quadratic they refer to is analysis.lyapunov_phi(d, c, x)."""
+    quadratic they refer to is analysis.lyapunov_phi(d, c, X)."""
 
     delta: float
     q: float
@@ -206,8 +206,8 @@ def ode_exp_problem(d: int = 1, horizon: float = 1.0) -> CatalogEntry:
         horizon=horizon,
         mu=_zero_vec(d),
         sigma=_zero_mat(d),
-        f=lambda v: float(v),
-        g=lambda x: 1.0,
+        f=lambda v: np.array(v, dtype=np.float64),
+        g=lambda X: np.ones(len(X)),
         lipschitz_c=1.0,
         encodings=encodings,
     )
@@ -251,8 +251,8 @@ def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
         horizon=horizon,
         mu=_zero_vec(d),
         sigma=lambda X, s=sigma_const: s,
-        f=lambda v: 0.0,
-        g=lambda x: float(np.dot(x, x)),
+        f=lambda v: np.zeros(np.shape(v)),
+        g=squared_norms,
         lipschitz_c=1.0,
         encodings=encodings,
     )
@@ -276,11 +276,11 @@ def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
     b = 0.1 * np.ones(d)
     s = 0.3 * np.eye(d) + 0.05 * np.tril(np.ones((d, d)), -1)
 
-    def f(v: float) -> float:
-        return max(v, 0.0) - 0.5 * max(-v - 0.5, 0.0)
+    def f(v):
+        return np.maximum(v, 0.0) - 0.5 * np.maximum(-v - 0.5, 0.0)
 
-    def g(x) -> float:
-        return float(np.max(x))
+    def g(X):
+        return np.max(X, axis=1)
 
     def encodings(delta_target: float = 0.0) -> ProblemNetworks:
         mu_net = affine_network(a, b)
@@ -318,12 +318,12 @@ def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
     this diffusion admits exact direction networks with a shared shape.
     """
 
-    def f(v: float) -> float:
+    def f(v):
         # soft cap: rate * min(v, 2), Lipschitz constant `rate`
-        return rate * (v - max(v - 2.0, 0.0))
+        return rate * (v - np.maximum(v - 2.0, 0.0))
 
-    def g(x) -> float:
-        return max(float(np.max(x)) - strike, 0.0)
+    def g(X):
+        return np.maximum(np.max(X, axis=1) - strike, 0.0)
 
     def encodings(delta_target: float = 0.0) -> ProblemNetworks:
         mu_net = affine_network(rate * np.eye(d), np.zeros(d))
@@ -369,18 +369,20 @@ def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
     cache: dict[tuple, float] = {}
 
     def evaluate(t: float, X: np.ndarray) -> np.ndarray:
-        return np.array([evaluate_point(t, x) for x in X])
-
-    def evaluate_point(t: float, x: np.ndarray) -> float:
-        key = (round(t, 12), tuple(np.round(x, 12)))
-        if key not in cache:
+        keys = [(round(t, 12), tuple(np.round(x, 12))) for x in X]
+        # reversed, so that the first of several equal keys gives the point
+        pending = {key: x for key, x in zip(keys[::-1], X[::-1]) if key not in cache}
+        if pending:
             grid = uniform_grid(problem.horizon, M**M)
-            vals = []
-            for i in range(seeds):
-                cfg = MlpConfig(n, M, grid, FrozenSample(seed0 + i))
-                vals.append(mlp_estimate(problem, cfg, ROOT_PATH, t, x))
-            cache[key] = float(np.mean(vals))
-        return cache[key]
+            points = np.array(list(pending.values()))
+            # one walk per seed; each point's mean is over its own row of values
+            rows = np.transpose([
+                mlp_estimate(problem, MlpConfig(n, M, grid, FrozenSample(seed0 + i)),
+                             ROOT_PATH, t, points)
+                for i in range(seeds)])
+            for key, row in zip(pending, rows):
+                cache[key] = float(np.mean(row))
+        return np.array([cache[key] for key in keys])
 
     return ReferenceSolution("derived-oracle", evaluate,
                              note=f"picard oracle n={n}, M={M}, {seeds} seeds")

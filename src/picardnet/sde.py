@@ -83,8 +83,8 @@ def euler_run(problem, breakpoints: Sequence[float], states: np.ndarray,
     in one NumPy step, with the coefficients taken at the left endpoint:
     ``mu`` and ``sigma`` take the (N, d) batch and return arrays that
     broadcast to (N, d) and (N, d, d).  Each row gets the arithmetic of a
-    row-by-row step, bit for bit.  ``increments`` has shape
-    (N, len(breakpoints) - 1, d).  Returns a copy of the states at each
+    row-by-row step, bit for bit.  ``increments`` has shape (N or 1,
+    len(breakpoints) - 1, d).  Returns a copy of the states at each
     breakpoint listed in ``keep``.  A non-finite state anywhere in the
     batch raises ``NumericFailure`` naming ``path``.
     """
@@ -106,9 +106,10 @@ def euler_run(problem, breakpoints: Sequence[float], states: np.ndarray,
 
 
 def euler_evaluate(problem, grid: TimeGrid, sample: FrozenSample, path: IndexPath,
-                   t: float, x, s: float) -> np.ndarray:
-    """State at time s of the Euler scheme started at (t, x).
+                   t: float, X, s: float) -> np.ndarray:
+    """States at time s of the Euler scheme started at (t, x), for each row x of X.
 
+    X is an (N, d) batch, and so is the result; one Brownian path drives every row.
     Drift and diffusion are evaluated at the left endpoint of each step;
     the off-grid query time s is handled by inserting s as the final
     breakpoint, with the Brownian draw for (floor(s), s] coming from the
@@ -118,9 +119,9 @@ def euler_evaluate(problem, grid: TimeGrid, sample: FrozenSample, path: IndexPat
         raise SimulationError(f"start time {t} outside [0, {grid.horizon}]")
     if not t <= s <= grid.horizon:
         raise SimulationError(f"query time {s} outside [{t}, {grid.horizon}]")
-    states = np.array(x, dtype=np.float64).reshape(1, problem.d)
+    states = np.array(X, dtype=np.float64).reshape(-1, problem.d)
     breakpoints = effective_breakpoints(grid, t, s)
     if len(breakpoints) > 1:
         noise = brownian_path(sample, path, problem.d, breakpoints)
         euler_run(problem, breakpoints, states, noise[None], path)
-    return states[0]
+    return states

@@ -75,7 +75,7 @@ def test_lyapunov_frozen_dynamics_trivial():
                             n_paths=2000, c_phi=c_phi)
     assert report.passed
     row = report.rows[0]
-    phi = lyapunov_phi(2, c_phi, [0.4, -0.2])
+    phi = lyapunov_phi(2, c_phi, [[0.4, -0.2]])[0]
     assert row["estimate"] == pytest.approx(phi**2)
 
 
@@ -85,8 +85,9 @@ def test_lyapunov_heat_exact_first_moment():
     c, c_phi = suggest_lyapunov_constants(entry.problem)
     x = np.array([0.5, -1.0])
     # E[phi(X_{0,T})] = phi(x) + 2 d T exactly for additive noise
-    exact = lyapunov_phi(d, c_phi, x) + 2 * d * 1.0
-    assert exact <= lyapunov_bound(1.0, c, 1.0, lyapunov_phi(d, c_phi, x))
+    phi_x = lyapunov_phi(d, c_phi, x[None])[0]
+    exact = phi_x + 2 * d * 1.0
+    assert exact <= lyapunov_bound(1.0, c, 1.0, phi_x)
     report = lyapunov_check(entry.problem, 1.0, c, [(0.0, 1.0, x)], n_paths=20_000,
                             c_phi=c_phi)
     assert report.passed
@@ -317,7 +318,7 @@ def test_l2_error_repeat_run_consistency(heat_entry):
 
     def estimator(X, seed=3000):
         cfg = MlpConfig(2, 2, grid, FrozenSample(seed))
-        return np.array([mlp_estimate(problem, cfg, ROOT_PATH, 0.0, x) for x in X])
+        return mlp_estimate(problem, cfg, ROOT_PATH, 0.0, X)
 
     cfg_a = ErrorMeasureConfig(dimension=2, sample_count=100, seed=5)
     rmse1, se1 = l2_error(estimator, ref, cfg_a)

@@ -81,7 +81,7 @@ def test_golden_terminal_batch(name, steps, t, s, seed, want):
     problem = catalog_entry(name).problem
     x = np.linspace(0.8, 1.2, problem.d)
     out = simulate_terminal_batch(problem, _grid(problem.horizon, steps), t, x, s, 64, seed)
-    assert _sha(out["terminal"]) == want
+    assert _sha(out) == want
 
 
 # (problem pair, grid steps or None for REPEATED, t, s_values, seed, SHA-256 of the snapshots)

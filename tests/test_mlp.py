@@ -19,7 +19,7 @@ def constant_terminal_problem(gamma):
     return SemilinearProblem(
         name="const", d=1, horizon=1.0,
         mu=lambda x: np.zeros(1), sigma=lambda x: np.zeros((1, 1)),
-        f=lambda v: 0.0, g=lambda x: gamma,
+        f=lambda v: np.zeros(len(v)), g=lambda X: np.full(len(X), gamma),
     )
 
 
@@ -69,7 +69,7 @@ def test_telescoping_for_zero_nonlinearity_bitwise():
     prob = SemilinearProblem(
         name="mc", d=2, horizon=1.0,
         mu=lambda x: np.zeros(2), sigma=lambda x: np.eye(2),
-        f=lambda v: 0.0, g=lambda x: float(x[0] + x[1] ** 2),
+        f=lambda v: np.zeros(len(v)), g=lambda X: X[:, 0] + X[:, 1] ** 2,
     )
     grid = uniform_grid(1.0, 2)
     cfg = MlpConfig(2, 3, grid, FrozenSample(7))
@@ -80,8 +80,8 @@ def test_telescoping_for_zero_nonlinearity_bitwise():
 
     total = 0.0
     for i in range(1, 3**2 + 1):
-        y = euler_evaluate(prob, grid, cfg.sample, child(ROOT_PATH, 0, -i), 0.0, x0, 1.0)
-        total += prob.g(y)
+        y = euler_evaluate(prob, grid, cfg.sample, child(ROOT_PATH, 0, -i), 0.0, x0[None], 1.0)
+        total += prob.g(y)[0]
     assert est == total / 9
 
 
@@ -89,7 +89,7 @@ def test_sibling_estimates_uncorrelated():
     prob = SemilinearProblem(
         name="noise", d=1, horizon=1.0,
         mu=lambda x: np.zeros(1), sigma=lambda x: np.eye(1),
-        f=lambda v: 0.0, g=lambda x: float(x[0]),
+        f=lambda v: np.zeros(len(v)), g=lambda X: X[:, 0],
     )
     grid = uniform_grid(1.0, 1)
     cfg = MlpConfig(1, 1, grid, FrozenSample(100))
@@ -137,6 +137,9 @@ def test_invalid_config_rejected():
     cfg = MlpConfig(1, 1, uniform_grid(1.0, 1), FrozenSample(0))
     with pytest.raises(MlpError):
         mlp_estimate(prob, cfg, ROOT_PATH, 2.0, [0.0])
+    for bad in ([0.0, 1.0], [[0.0, 1.0]], 0.5):
+        with pytest.raises(MlpError):
+            mlp_estimate(prob, cfg, ROOT_PATH, 0.0, bad)
 
 
 @pytest.mark.parametrize("n, M", [(n, M) for n in range(4) for M in (1, 2, 3)] + [(4, 4)])
@@ -160,10 +163,52 @@ def test_predict_work_counts_paths_and_substreams(monkeypatch, n, M):
     prob = SemilinearProblem(
         name="noise", d=2, horizon=1.0,
         mu=lambda x: np.zeros(2), sigma=lambda x: np.eye(2),
-        f=lambda v: 0.5 * v, g=lambda x: float(x[0]),
+        f=lambda v: 0.5 * v, g=lambda X: X[:, 0],
     )
     cfg = MlpConfig(n, M, uniform_grid(1.0, 2), FrozenSample(3))
     mlp_estimate(prob, cfg, ROOT_PATH, 0.2, [0.1, -0.3])
     assert predict_work(n, M) == (calls["paths"], calls["substreams"])
     if n == 0:
         assert predict_work(n, M) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["ode-exp", "heat", "relu-exact", "bs-like"])
+def test_batch_rows_have_the_bits_of_point_estimates(name):
+    from picardnet.problems import catalog_entry
+
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        problem = catalog_entry(name, d=d).problem
+        grid = uniform_grid(problem.horizon, 4)
+        # repeated rows walk the tree exactly like their first copy
+        X = rng.uniform(0.5, 1.5, (3, d))[[0, 1, 0, 2, 2]]
+        for n, M in [(0, 2), (1, 3), (2, 2), (3, 1), (2, 3), (3, 2)]:
+            cfg = MlpConfig(n, M, grid, FrozenSample(1000 * n + M))
+            for t in (0.0, 0.3):
+                batch = mlp_estimate(problem, cfg, ROOT_PATH, t, X)
+                assert batch.shape == (len(X),)
+                points = [mlp_estimate(problem, cfg, ROOT_PATH, t, x) for x in X]
+                assert [v.hex() for v in batch.tolist()] == [p.hex() for p in points]
+                empty = mlp_estimate(problem, cfg, ROOT_PATH, t, np.zeros((0, d)))
+                assert empty.shape == (0,)
+
+
+def test_batch_with_one_diverging_row_names_the_node():
+    from picardnet.indexrng import child
+    from picardnet.sde import NumericFailure
+
+    # frozen dynamics and a terminal value that is infinite above 100
+    prob = SemilinearProblem(
+        name="blowup", d=1, horizon=1.0,
+        mu=lambda x: np.zeros(1), sigma=lambda x: np.zeros((1, 1)),
+        f=lambda v: 0.5 * v, g=lambda X: np.where(X[:, 0] > 100.0, np.inf, X[:, 0]),
+    )
+    cfg = MlpConfig(2, 2, uniform_grid(1.0, 2), FrozenSample(9))
+    assert math.isfinite(mlp_estimate(prob, cfg, ROOT_PATH, 0.0, [1.0]))
+    failures = []
+    for x in ([[1.0], [500.0], [2.0]], [500.0]):
+        with pytest.raises(NumericFailure) as err:
+            mlp_estimate(prob, cfg, ROOT_PATH, 0.0, x)
+        failures.append(err.value.path)
+    # the first node to finish is the root's first level-1 branch
+    assert failures == [child(ROOT_PATH, 1, 1)] * 2

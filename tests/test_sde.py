@@ -64,10 +64,10 @@ def test_effective_breakpoints_match_the_set_form():
 
 def test_frozen_dynamics_returns_start():
     grid = uniform_grid(1.0, 4)
-    x = np.array([2.5])
+    X = np.array([[2.5], [-1.0]])
     for s in [0.0, 0.3, 1.0]:
-        out = euler_evaluate(FROZEN, grid, SAMPLE, (0,), 0.0, x, s)
-        assert np.array_equal(out, x)
+        out = euler_evaluate(FROZEN, grid, SAMPLE, (0,), 0.0, X, s)
+        assert np.array_equal(out, X)
 
 
 def test_deterministic_drift():
