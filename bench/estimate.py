@@ -6,6 +6,10 @@ Cases:
   (9, 2) ``indexrng.standard_normals`` (a 9-step Brownian path in d = 2),
   on each of 20,000 distinct index paths, reported in microseconds per
   substream.
+- ``euler path K=8``: one one-row ``sde.euler_evaluate`` from t = 0 to the
+  horizon at relu-exact, d = 2, x = (0.25, -0.5), on a uniform grid of 8
+  steps, on each of 4,000 distinct index paths, reported in microseconds
+  per Euler step (its Brownian draw included).
 - ``estimate n=M=3 K=8``, ``estimate n=M=4 K=8`` and ``estimate n=M=4 K=64``:
   one ``mlp_estimate`` at relu-exact, d = 2, x = (0.25, -0.5), t = 0, seed 0,
   on a uniform grid of K steps, reported in seconds.  An n = M = 4 estimate
@@ -34,6 +38,7 @@ import harness
 
 SUBSTREAMS = 20_000
 PER_SUBSTREAM = {"unit": "us per substream", "scale": 1e6 / SUBSTREAMS}
+EULER_PATHS, EULER_STEPS = 4_000, 8
 
 
 def draws(shape):
@@ -46,6 +51,21 @@ def draws(shape):
                 lambda values: harness.sha256(float(u).hex().encode() for u in values))
     return (lambda: [standard_normals(sample, path, PURPOSE_BROWNIAN, shape) for path in paths],
             lambda values: harness.sha256(z.tobytes() for z in values))
+
+
+def euler_paths():
+    """Set up EULER_PATHS one-row Euler paths over the whole grid of EULER_STEPS steps."""
+    import numpy as np
+
+    from picardnet import FrozenSample, catalog_entry
+    from picardnet.sde import euler_evaluate, uniform_grid
+
+    problem = catalog_entry("relu-exact", d=2).problem
+    grid, sample = uniform_grid(problem.horizon, EULER_STEPS), FrozenSample(0)
+    x, paths = np.array([[0.25, -0.5]]), [(i % 5, i) for i in range(EULER_PATHS)]
+    return (lambda: [euler_evaluate(problem, grid, sample, path, 0.0, x, problem.horizon)
+                     for path in paths],
+            lambda states: harness.sha256(y.tobytes() for y in states))
 
 
 def estimate(n: int, steps: int):
@@ -76,6 +96,8 @@ def reference():
 CASES = {
     "uniform01": harness.Case(functools.partial(draws, None), **PER_SUBSTREAM),
     "normals 9x2": harness.Case(functools.partial(draws, (9, 2)), **PER_SUBSTREAM),
+    "euler path K=8": harness.Case(euler_paths, unit="us per step",
+                                   scale=1e6 / (EULER_PATHS * EULER_STEPS)),
     **{f"estimate n=M={n} K={steps}": harness.Case(functools.partial(estimate, n, steps))
        for n, steps in ((3, 8), (4, 8), (4, 64))},
     "reference 4 points": harness.Case(reference, repeats=5),

@@ -53,15 +53,15 @@ EXIT_RESOURCE = 3
 EXIT_CHECK_FAILED = 4
 EXIT_INTERNAL = 5
 
-# Cost of a run in Euler path-steps: per estimate, each path-step (every
-# path is priced at the full grid) and SUBSTREAM_PATH_STEPS per keyed
-# substream, times the estimates the command runs at that (n, M); plus each
-# grid step, since the grid is built once per (n, M).  Measured on a 2-CPU
-# Xeon at relu-exact d=2, n=M=4 on 1, 8 and 64 steps (least squares over
-# the three grids, five seeds each): 22-42 us per substream and 2.4-4.8 us
-# per path-step as the host's load varied, a ratio of 9 in every run.
-# WORK_GUARD, 50-95 s there, admits one n=M=5 estimate on 8 steps and one
-# n=M=4 estimate on its default 256-step grid.
+# Cost of a run in Euler path-steps: per walk of the Picard tree, each row's
+# path-steps (every path is priced at the full grid) and SUBSTREAM_PATH_STEPS
+# per keyed substream, drawn once for all rows; times the walks the command
+# runs at that (n, M); plus each grid step, since the grid is built once per
+# (n, M).  Measured on a 2-CPU Xeon at relu-exact d=2, n=M=4, one row, on 1, 8
+# and 64 steps (least squares over the three grids, five seeds each, six runs):
+# 18.6-26.2 us per substream and 2.0-3.2 us per path-step, a ratio of 8.3-9.8.
+# WORK_GUARD, 50-95 s at the costs of 2.4-4.8 us per path-step measured
+# earlier, admits one n=M=5 estimate on 8 steps and one n=M=4 on 256 steps.
 SUBSTREAM_PATH_STEPS = 9
 WORK_GUARD = 20_000_000
 
@@ -192,34 +192,34 @@ def _level(cfg: dict, command: str) -> tuple[int, int]:
     return cfg.get("n", n), cfg.get("M", M)
 
 
-def _planned_estimates(cfg: dict, command: str) -> tuple[list[tuple[int, int]], int]:
-    """The (n, M) pairs a command estimates at, and its estimates per pair.
+def _planned_walks(cfg: dict, command: str) -> tuple[list[tuple[int, int]], int, int]:
+    """The (n, M) pairs a command estimates at, its walks per pair, and rows per walk.
 
-    ``solve`` and ``build-verify`` run one estimate per probe, ``sweep
-    fullerror`` runs ``seeds`` per pair of its level grid, and the other
-    sweeps run none.
+    ``solve`` and ``build-verify`` walk the Picard tree once, carrying every
+    probe as a row; ``sweep fullerror`` walks it once per seed, with one row,
+    at each pair of its level grid; the other sweeps run none.
     """
     if command != "sweep":
-        return [_level(cfg, command)], max(1, len(cfg.get("probes", [])))
+        return [_level(cfg, command)], 1, max(1, len(cfg.get("probes", [])))
     if cfg.get("sweep", "fullerror") != "fullerror":
-        return [], 0
+        return [], 0, 0
     pairs = [tuple(pair) for pair in cfg.get("level_grid", DEFAULT_LEVEL_GRID)]
-    return pairs, cfg.get("seeds", DEFAULT_SEEDS)
+    return pairs, cfg.get("seeds", DEFAULT_SEEDS), 1
 
 
 def _guard_work(cfg: dict, command: str) -> None:
     """Refuse every (n, M) the command runs whose predicted cost exceeds WORK_GUARD."""
-    pairs, estimates = _planned_estimates(cfg, command)
+    pairs, walks, rows = _planned_walks(cfg, command)
     for n, M in pairs:
         paths, substreams = predict_work(n, M)
         steps = _grid_steps(cfg, M)
-        cost = estimates * (paths * steps + SUBSTREAM_PATH_STEPS * substreams) + steps
+        cost = walks * (rows * paths * steps + SUBSTREAM_PATH_STEPS * substreams) + steps
         if cost > WORK_GUARD:
             raise ConfigError(
                 f"n={n}, M={M} predicts {paths} Euler paths and {substreams} substreams "
-                f"per estimate on {steps} grid steps, times {estimates} "
-                f"estimate{'s' if estimates != 1 else ''}: {cost} path-steps, over the "
-                f"cost guard {WORK_GUARD}; pass --force"
+                f"per estimate on {steps} grid steps, times {walks} "
+                f"estimate{'s' if walks != 1 else ''} of {rows} row{'s' if rows != 1 else ''}: "
+                f"{cost} path-steps, over the cost guard {WORK_GUARD}; pass --force"
             )
 
 
@@ -284,7 +284,7 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
 
 def _sweep_fullerror(cfg: dict, seed: int, out_dir: Path) -> int:
     entry = _entry(cfg)
-    pairs, seeds = _planned_estimates(cfg, "sweep")
+    pairs, seeds, _ = _planned_walks(cfg, "sweep")
     probes = _probes(cfg, entry.problem.d) or [np.zeros(entry.problem.d)]
     report = fullerror_check(
         entry.problem, entry.reference, entry.constants, pairs,

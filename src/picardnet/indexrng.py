@@ -6,18 +6,24 @@ byte string and fed through keyed BLAKE2b to derive a Philox counter key.
 Distinct paths therefore own statistically independent substreams, and the
 same arguments always reproduce the same bits on any platform.
 
+BLAKE2b streams: each ``FrozenSample`` caches one keyed state per purpose,
+fed the domain and the purpose, and each key hashes a copy of it fed the
+path, never the cached state itself.
+
 Philox is counter-based: a substream is fully set by its key, at counter 0
 with an empty buffer.  So instead of constructing a bit generator per
-substream, each thread keeps one scratch Philox and re-keys it; the only
-mutable state is that per-thread scratch, which a draw resets before use.
+substream, each thread keeps one scratch Philox and re-keys it; besides the
+caches above, the only mutable state is that per-thread scratch, which a
+draw resets before use.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -38,6 +44,8 @@ class FrozenSample:
     """A fixed sample point: one 64-bit master seed keys the whole tree."""
 
     master_seed: int
+    # purpose -> keyed BLAKE2b state fed the domain and the purpose; copied per key
+    _prefixes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.master_seed < 2**64:
@@ -49,17 +57,26 @@ def child(path: IndexPath, *entries: int) -> IndexPath:
     return tuple(path) + tuple(int(e) for e in entries)
 
 
+_PATH_STRUCTS: dict[int, struct.Struct] = {}  # path length -> its packing
+
+
 def derive_key(sample: FrozenSample, path: IndexPath, purpose: bytes) -> bytes:
     """16-byte substream key for (sample, path, purpose)."""
-    msg = (_DOMAIN + struct.pack("<B", len(purpose)) + purpose
-           + struct.pack(f"<I{len(path)}q", len(path), *path))
-    return hashlib.blake2b(
-        msg, key=struct.pack("<Q", sample.master_seed), digest_size=16
-    ).digest()
+    prefix = sample._prefixes.get(purpose)
+    if prefix is None:
+        prefix = sample._prefixes[purpose] = hashlib.blake2b(
+            _DOMAIN + struct.pack("<B", len(purpose)) + purpose,
+            key=struct.pack("<Q", sample.master_seed), digest_size=16)
+    packing = _PATH_STRUCTS.get(len(path))
+    if packing is None:
+        packing = _PATH_STRUCTS[len(path)] = struct.Struct(f"<I{len(path)}q")
+    digest = prefix.copy()
+    digest.update(packing.pack(len(path), *path))
+    return digest.digest()
 
 
-_scratch = threading.local()
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # counter 0 and an empty buffer
+_scratch = threading.local()  # per thread: one Philox and the state dict that re-keys it
+_ZERO_WORDS = (0, 0, 0, 0)  # counter 0 and an empty buffer
 
 
 def generator(sample: FrozenSample, path: IndexPath, purpose: bytes) -> np.random.Philox:
@@ -69,23 +86,26 @@ def generator(sample: FrozenSample, path: IndexPath, purpose: bytes) -> np.rando
     gives the same words as ``np.random.Philox(key=...)`` and stays valid
     until that thread's next call.
     """
-    key = np.frombuffer(derive_key(sample, path, purpose), dtype=np.uint64)
+    # tuples, not arrays: the state setter reads them one element at a time
+    key = struct.unpack("<2Q", derive_key(sample, path, purpose))
     bitgen = getattr(_scratch, "philox", None)
     if bitgen is None:
         bitgen = _scratch.philox = np.random.Philox(key=key)
-    bitgen.state = {"bit_generator": "Philox",
-                    "state": {"counter": _ZERO_WORDS, "key": key},
-                    "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _scratch.state = {"bit_generator": "Philox",
+                          "state": {"counter": _ZERO_WORDS, "key": key},
+                          "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _scratch.state["state"]["key"] = key
+    bitgen.state = _scratch.state
     return bitgen
 
 
-def _uniform_open01(bitgen: np.random.Philox, shape) -> np.ndarray:
+def _uniform_open01(bitgen: np.random.Philox, shape=None):
     # 53 significant bits, centered in (0, 1) so the inverse CDF never sees 0 or 1.
     # The top value (2**53 - 1) + 0.5 rounds to 2**53, so it is clamped to the
-    # largest double below 1.
+    # largest double below 1.  Without a shape the word is a Python int, and
+    # the same formula gives the same bits as on a uint64 array.
     raw = bitgen.random_raw(size=shape)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return np.minimum(u, 1.0 - 2.0**-53)
+    return np.minimum(((raw >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def standard_normals(sample: FrozenSample, path: IndexPath, purpose: bytes, shape) -> np.ndarray:
@@ -95,7 +115,7 @@ def standard_normals(sample: FrozenSample, path: IndexPath, purpose: bytes, shap
 
 def uniform01(sample: FrozenSample, path: IndexPath) -> float:
     """The path's frozen uniform draw on (0, 1)."""
-    return float(_uniform_open01(generator(sample, path, PURPOSE_TIME), ()))
+    return float(_uniform_open01(generator(sample, path, PURPOSE_TIME)))
 
 
 def uniform_time(sample: FrozenSample, path: IndexPath, t: float, horizon: float) -> float:
@@ -118,11 +138,11 @@ def brownian_path(
     consumed in time order, so appending later breakpoints never changes
     earlier increments.
     """
-    pts = np.asarray(breakpoints, dtype=np.float64)
-    gaps = pts[1:] - pts[:-1]
-    if not (gaps > 0.0).all():
+    # Python floats: math.sqrt is correctly rounded, like np.sqrt
+    gaps = [b - a for a, b in zip(breakpoints, breakpoints[1:])]
+    if not all(gap > 0.0 for gap in gaps):
         raise RngError("breakpoints must be strictly increasing")
-    if gaps.size == 0:
+    if not gaps:
         return np.zeros((0, d))
-    z = standard_normals(sample, path, PURPOSE_BROWNIAN, (gaps.size, d))
-    return np.sqrt(gaps)[:, None] * z
+    z = standard_normals(sample, path, PURPOSE_BROWNIAN, (len(gaps), d))
+    return np.array([math.sqrt(gap) for gap in gaps])[:, None] * z

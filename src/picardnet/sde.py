@@ -85,23 +85,24 @@ def euler_run(problem, breakpoints: Sequence[float], states: np.ndarray,
     broadcast to (N, d) and (N, d, d).  Each row gets the arithmetic of a
     row-by-row step, bit for bit.  ``increments`` has shape (N or 1,
     len(breakpoints) - 1, d).  Returns a copy of the states at each
-    breakpoint listed in ``keep``.  A non-finite state anywhere in the
-    batch raises ``NumericFailure`` naming ``path``.
+    breakpoint listed in ``keep``.  A state non-finite after any step
+    raises ``NumericFailure`` naming ``path``, from one check after the last
+    step: steps only add to states, inf + x is inf or nan and nan + x is nan.
     """
     mu, sigma = problem.mu, problem.sigma
     noise = increments[..., None]
     kept = {}
-    if breakpoints[0] in keep:
+    if keep and breakpoints[0] in keep:
         kept[breakpoints[0]] = states.copy()
     for k in range(len(breakpoints) - 1):
         dt = breakpoints[k + 1] - breakpoints[k]
         diffusion = np.matmul(sigma(states), noise[:, k])[..., 0]
         states += mu(states) * dt
         states += diffusion
-        if not np.isfinite(states).all():
-            raise NumericFailure(f"state non-finite at time {breakpoints[k + 1]}", path)
-        if breakpoints[k + 1] in keep:
+        if keep and breakpoints[k + 1] in keep:
             kept[breakpoints[k + 1]] = states.copy()
+    if not np.isfinite(states).all():
+        raise NumericFailure(f"state non-finite by time {breakpoints[-1]}", path)
     return kept
 
 

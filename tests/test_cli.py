@@ -241,6 +241,18 @@ def test_cost_guard_admits_affordable_runs(payload):
     cli._guard_work(payload, "sweep" if "sweep" in payload else "solve")
 
 
+def test_cost_guard_prices_one_walk_for_all_probes(monkeypatch):
+    # 200 rows x 4916 paths x 8 steps + 9 x 7528 substreams + 8 grid steps; priced
+    # as 200 estimates, one per probe, the same run would cost 21,416,008
+    payload = {"problem": "relu-exact", "n": 4, "M": 4, "time_grid": {"uniform_steps": 8},
+               "probes": [[0.0, 0.0]] * 200}
+    cli._guard_work(payload, "solve")
+    monkeypatch.setattr(cli, "WORK_GUARD", 7_933_359)
+    with pytest.raises(cli.ConfigError) as err:
+        cli._guard_work(payload, "solve")
+    assert "times 1 estimate of 200 rows: 7933360 path-steps" in str(err.value)
+
+
 @pytest.mark.parametrize("payload, counts", [
     ({"problem": "relu-exact", "n": 3, "M": 7}, "2947 Euler paths and 4473 substreams"),
     ({"problem": "relu-exact", "n": 5, "M": 5}, "121330 Euler paths and 185035 substreams"),
@@ -271,10 +283,13 @@ def test_cost_guard_refuses_predicted_work(tmp_path, capsys, monkeypatch, payloa
      "n=2, M=2 predicts 18 Euler paths and 28 substreams per estimate"),
     ("build-verify", {"problem": "relu-exact", "time_grid": {"uniform_steps": 10_000_000}},
      "n=1, M=1 predicts 2 Euler paths and 3 substreams per estimate"),
-    ("solve", {"problem": "relu-exact", "n": 4, "M": 4, "probes": [[0.0, 0.0]] * 16},
-     "times 16 estimates"),
-    ("build-verify", {"problem": "relu-exact", "n": 2, "M": 2, "probes": [[0.0, 0.0]] * 3,
-                      "time_grid": {"uniform_steps": 500_000}}, "times 3 estimates"),
+    # the probe cases keep ids that name their probe count; all probes share one walk
+    pytest.param("solve", {"problem": "relu-exact", "n": 4, "M": 4, "probes": [[0.0, 0.0]] * 16},
+                 "times 1 estimate of 16 rows", id="solve-payload2-times 16 estimates"),
+    pytest.param("build-verify", {"problem": "relu-exact", "n": 2, "M": 2,
+                                  "probes": [[0.0, 0.0]] * 3,
+                                  "time_grid": {"uniform_steps": 500_000}},
+                 "times 1 estimate of 3 rows", id="build-verify-payload3-times 3 estimates"),
     ("sweep", {"problem": "relu-exact", "sweep": "fullerror",
                "time_grid": {"uniform_steps": 50_000}}, "n=2, M=2"),
 ])

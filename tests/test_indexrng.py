@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -63,18 +65,19 @@ def test_substreams_share_no_counter_or_buffer():
     assert np.array_equal(again[1], first[1]) and np.array_equal(again[1], fresh)
 
 
-def _draw_paths(worker: int) -> list[np.ndarray]:
+def _draw_paths(worker: int, sample: FrozenSample = SAMPLE) -> list[np.ndarray]:
     breakpoints = [0.0, 0.1, 0.35, 0.5, 1.0]
-    return [brownian_path(SAMPLE, (worker, i), 2, breakpoints) for i in range(200)]
+    return [brownian_path(sample, (worker, i), 2, breakpoints) for i in range(200)]
 
 
 def test_threads_draw_the_same_paths_as_one_thread():
-    sequential = [_draw_paths(w) for w in range(2)]
+    sequential = [_draw_paths(w) for w in range(4)]
+    shared = FrozenSample(SAMPLE.master_seed)  # its keyed states are made under the threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so their draws interleave
     try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(_draw_paths, range(2), timeout=60))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(_draw_paths, range(4), [shared] * 4, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert len(threaded) == len(sequential)
@@ -88,8 +91,9 @@ class _ConstantWords:
     def __init__(self, word):
         self.word = word
 
-    def random_raw(self, size):
-        return np.full(size, self.word, dtype=np.uint64)
+    def random_raw(self, size=None):
+        # like a bit generator: a Python int without a size, else a uint64 array
+        return self.word if size is None else np.full(size, self.word, dtype=np.uint64)
 
 
 def test_uniform_stays_inside_open_unit_interval_at_extreme_words():
@@ -97,6 +101,31 @@ def test_uniform_stays_inside_open_unit_interval_at_extreme_words():
     assert np.all(top < 1.0) and np.all(np.isfinite(ndtri(top)))
     bottom = _uniform_open01(_ConstantWords(0), (3,))
     assert np.all(bottom > 0.0) and np.all(np.isfinite(ndtri(bottom)))
+    for word in (0, 1, 2**64 - 2**11, 2**64 - 1):
+        single = float(_uniform_open01(_ConstantWords(word)))
+        assert 0.0 < single < 1.0
+        assert single == _uniform_open01(_ConstantWords(word), (3,))[0]
+
+
+def test_uniform01_equals_the_array_formula():
+    for i in range(10_000):
+        path = (i % 3, i, -7 * i)
+        want = float(_uniform_open01(generator(SAMPLE, path, PURPOSE_TIME), ()))
+        assert uniform01(SAMPLE, path) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_derive_key_equals_one_shot_keyed_blake2b(seed):
+    sample = FrozenSample(seed)
+    for purpose in (PURPOSE_TIME, PURPOSE_BROWNIAN, b"another purpose"):
+        for length in range(13):
+            path = (-(2**63), 2**63 - 1, *range(-5, 6))[:length]
+            msg = (b"picardnet.rng.v1" + bytes([len(purpose)]) + purpose
+                   + struct.pack(f"<I{length}q", length, *path))
+            want = hashlib.blake2b(msg, key=seed.to_bytes(8, "little"), digest_size=16)
+            assert derive_key(sample, path, purpose) == want.digest()
+    # the cached keyed states are no part of the sample's value
+    assert sample == FrozenSample(seed) and hash(sample) == hash(FrozenSample(seed))
 
 
 def test_uniform_time_endpoint_and_affine_map():

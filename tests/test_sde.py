@@ -130,6 +130,41 @@ def test_nonfinite_coefficient_reports_path():
     assert err.value.path == (3, 7)
 
 
+def spike_once(step, row=slice(None)):
+    """A problem whose drift is inf in ``row`` at step ``step`` only, else zero."""
+    calls = []
+
+    def mu(Y):
+        calls.append(None)
+        out = np.zeros(Y.shape)
+        if len(calls) == step:
+            out[row] = np.inf
+        return out
+
+    return make_problem(1, mu, lambda Y: np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("step", [2, 4])
+def test_one_nonfinite_step_fails_one_row_path(step):
+    # the state stays inf after the spike although every later drift is finite
+    grid = uniform_grid(1.0, 4)
+    with pytest.raises(NumericFailure) as err:
+        euler_evaluate(spike_once(step), grid, SAMPLE, (3, 7), 0.0, np.zeros(1), 1.0)
+    assert err.value.path == (3, 7)
+    assert "non-finite by time 1.0" in str(err.value)
+
+
+@pytest.mark.parametrize("step", [2, 4])
+def test_one_nonfinite_step_fails_batch_with_keep(step):
+    breakpoints = (0.0, 0.25, 0.5, 0.75, 1.0)
+    states = np.zeros((3, 1))
+    with pytest.raises(NumericFailure) as err:
+        euler_run(spike_once(step, row=1), breakpoints, states, np.zeros((3, 4, 1)),
+                  (5, -2), keep={0.5, 1.0})
+    assert err.value.path == (5, -2)
+    assert np.isinf(states[1, 0]) and np.array_equal(states[[0, 2]], np.zeros((2, 1)))
+
+
 def test_euler_run_rows_are_independent_and_keep_copies():
     problem = make_problem(2, lambda Y: 0.5 * Y, lambda Y: 0.1 * (Y[:, :, None] * np.eye(2)))
     breakpoints = (0.0, 0.25, 0.5, 1.0)
