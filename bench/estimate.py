@@ -12,7 +12,9 @@ Cases:
   per Euler step (its Brownian draw included).
 - ``estimate n=M=3 K=8``, ``estimate n=M=4 K=8`` and ``estimate n=M=4 K=64``:
   one ``mlp_estimate`` at relu-exact, d = 2, x = (0.25, -0.5), t = 0, seed 0,
-  on a uniform grid of K steps, reported in seconds.  An n = M = 4 estimate
+  on a uniform grid of K steps, reported in seconds per estimate.  The
+  n = M = 3 case (about 15 ms) makes 16 estimates in one timed run, so that
+  a run is long enough to time.  An n = M = 4 estimate
   opens 7,528 substreams, and each of its Euler paths is a batch of one
   row, so the K = 8 case also guards ``picardnet solve`` against per-step
   overhead in the Euler kernel.
@@ -39,6 +41,7 @@ import harness
 SUBSTREAMS = 20_000
 PER_SUBSTREAM = {"unit": "us per substream", "scale": 1e6 / SUBSTREAMS}
 EULER_PATHS, EULER_STEPS = 4_000, 8
+ESTIMATE_LOOPS = {(3, 8): 16, (4, 8): 1, (4, 64): 1}
 
 
 def draws(shape):
@@ -69,7 +72,7 @@ def euler_paths():
 
 
 def estimate(n: int, steps: int):
-    """Set up one level-n, M = n estimate on a uniform grid of ``steps`` steps."""
+    """Set up ESTIMATE_LOOPS level-n, M = n estimates on a uniform grid of ``steps`` steps."""
     import numpy as np
 
     from picardnet import FrozenSample, MlpConfig, ROOT_PATH, catalog_entry, mlp_estimate
@@ -78,7 +81,9 @@ def estimate(n: int, steps: int):
     problem = catalog_entry("relu-exact", d=2).problem
     config = MlpConfig(n, n, uniform_grid(problem.horizon, steps), FrozenSample(0))
     x = np.array([0.25, -0.5])
-    return lambda: mlp_estimate(problem, config, ROOT_PATH, 0.0, x), float.hex
+    return harness.looped(
+        [lambda: mlp_estimate(problem, config, ROOT_PATH, 0.0, x)] * ESTIMATE_LOOPS[n, steps],
+        float.hex)
 
 
 def reference():
@@ -98,8 +103,9 @@ CASES = {
     "normals 9x2": harness.Case(functools.partial(draws, (9, 2)), **PER_SUBSTREAM),
     "euler path K=8": harness.Case(euler_paths, unit="us per step",
                                    scale=1e6 / (EULER_PATHS * EULER_STEPS)),
-    **{f"estimate n=M={n} K={steps}": harness.Case(functools.partial(estimate, n, steps))
-       for n, steps in ((3, 8), (4, 8), (4, 64))},
+    **{f"estimate n=M={n} K={steps}": harness.Case(functools.partial(estimate, n, steps),
+                                                   scale=1 / loops)
+       for (n, steps), loops in ESTIMATE_LOOPS.items()},
     "reference 4 points": harness.Case(reference, repeats=5),
 }
 

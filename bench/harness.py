@@ -54,6 +54,23 @@ class Case:
     repeats: int = 11
 
 
+def looped(calls: list[Callable[[], Any]], output: Callable[[Any], str]):
+    """``(call, output)`` of a case whose one timed run makes every call in ``calls``.
+
+    A call too short to time on its own is repeated this way; give the case
+    ``scale=1/len(calls)`` so that its unit stays per call.  The results are
+    all kept until the output is computed, and their outputs must agree.
+    """
+
+    def agreed(results: list) -> str:
+        seen = {output(result) for result in results}
+        if len(seen) != 1:
+            raise RuntimeError(f"output differs between calls of one run: {sorted(seen)}")
+        return seen.pop()
+
+    return lambda: [call() for call in calls], agreed
+
+
 def sha256(chunks: Iterable[bytes]) -> str:
     digest = hashlib.sha256()
     for chunk in chunks:

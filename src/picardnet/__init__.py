@@ -5,7 +5,6 @@ bound-conformance checks that go with both."""
 
 from .analysis import (
     CheckReport,
-    ErrorMeasureConfig,
     GrowthRecipe,
     GrowthReport,
     desk_growth_recipe,
@@ -13,7 +12,6 @@ from .analysis import (
     fullerror_bracket,
     fullerror_check,
     growth_fit,
-    l2_error,
     lyapunov_bound,
     lyapunov_check,
     lyapunov_phi,

@@ -1,5 +1,5 @@
-"""Quantitative verification: error measurement, moment/perturbation/full
-error bound conformance, and parameter-growth fitting.
+"""Quantitative verification: moment/perturbation/full error bound
+conformance, and parameter-growth fitting.
 
 Every bound check inflates the Monte Carlo estimate by three standard
 errors before comparing against the analytic bound: the bounds are
@@ -45,53 +45,6 @@ class CheckReport:
 
     def summary(self) -> dict:
         return {"check": self.check, "pass": bool(self.passed), "margin": float(self.margin)}
-
-
-# ---------------------------------------------------------------------------
-# L2 error measurement
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorMeasureConfig:
-    """Sampling measure for the L2 error: uniform on a box (default the
-    unit cube), with at least 100 sample points."""
-
-    dimension: int
-    low: float = 0.0
-    high: float = 1.0
-    sample_count: int = 400
-    seed: int = 20_20
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 100:
-            raise AnalysisError("sample count must be >= 100")
-        if not self.low < self.high:
-            raise AnalysisError("box must have positive volume")
-
-    def draw(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(self.low, self.high, size=(self.sample_count, self.dimension))
-
-
-def l2_error(estimator: Callable, reference: Callable, cfg: ErrorMeasureConfig,
-             t: float = 0.0) -> tuple[float, float]:
-    """Monte Carlo L2(nu) distance between two maps at time t.
-
-    ``estimator(X)`` and ``reference(t, X)`` take the (N, d) batch of
-    sample points and return their (N,) values.  Returns (rmse, jackknife
-    standard error); the jackknife runs over the per-point squared errors,
-    so the estimate of the squared error is unbiased and halving variance
-    needs doubled samples.
-    """
-    pts = cfg.draw()
-    sq = (np.asarray(estimator(pts), dtype=np.float64)
-          - np.asarray(reference(t, pts), dtype=np.float64)) ** 2
-    n = len(sq)
-    total = sq.sum()
-    rmse = math.sqrt(total / n)
-    loo = np.sqrt(np.maximum(total - sq, 0.0) / (n - 1))
-    se = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
-    return rmse, se
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +336,6 @@ class GrowthRecipe:
     small enough to build.
     """
 
-    name: str
     c: float
     horizon: float
     rate_constant: Callable[[int], float]
@@ -422,7 +374,7 @@ def paper_growth_recipe(q: float = 2.0, b: float = 1.0, c: float = 1.0,
     def delta_of(d: int, eps: float) -> float:
         return eps / (4.0 * B * d**p_size * rate_constant(d))
 
-    return GrowthRecipe("paper", c, horizon, rate_constant, delta_of)
+    return GrowthRecipe(c, horizon, rate_constant, delta_of)
 
 
 def desk_growth_recipe(c: float = 1.0, horizon: float = 1.0, scale: float = 1e-6,
@@ -434,7 +386,7 @@ def desk_growth_recipe(c: float = 1.0, horizon: float = 1.0, scale: float = 1e-6
     scale would make the deviation target meaninglessly large or small).
     """
     return GrowthRecipe(
-        "desk", c, horizon,
+        c, horizon,
         lambda d: scale * d**d_power,
         lambda d, eps: eps / delta_ratio,
     )

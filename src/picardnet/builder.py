@@ -121,14 +121,13 @@ def sigma_family_zero(d: int) -> SigmaNetworkFamily:
 @dataclass(frozen=True)
 class ProblemNetworks:
     """Coefficient encodings (mu, sigma family, f, g) plus their measured
-    sup-deviation delta on the reported box."""
+    sup-deviation delta (0 for exact encodings)."""
 
     mu: ReluNetwork
     sigma: SigmaNetworkFamily
     f: ReluNetwork
     g: ReluNetwork
     delta: float = 0.0
-    box_radius: float = 0.0
 
 
 # ---------------------------------------------------------------------------

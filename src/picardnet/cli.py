@@ -172,11 +172,21 @@ def _grid_steps(cfg: dict, M: int) -> int:
 def _time_grid(cfg: dict, horizon: float, M: int) -> TimeGrid:
     spec = cfg.get("time_grid", {})
     try:
-        if "points" in spec:
-            return TimeGrid(tuple(spec["points"]))
-        return uniform_grid(horizon, _grid_steps(cfg, M))
+        if "points" not in spec:
+            return uniform_grid(horizon, _grid_steps(cfg, M))
+        grid = TimeGrid(tuple(spec["points"]))
     except SimulationError as exc:
         raise ConfigError(f"time_grid: {exc}") from exc
+    if grid.horizon != horizon:
+        raise ConfigError(f"time_grid: last point {grid.horizon} is not the horizon {horizon}")
+    return grid
+
+
+def _start_time(cfg: dict, horizon: float) -> float:
+    t = cfg.get("t", 0.0)
+    if not 0.0 <= t <= horizon:
+        raise ConfigError(f"t = {t} is outside [0, T] for the horizon T = {horizon}")
+    return t
 
 
 def _probes(cfg: dict, d: int) -> list[np.ndarray]:
@@ -228,7 +238,7 @@ def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     problem = entry.problem
     n, M = _level(cfg, "solve")
     grid = _time_grid(cfg, problem.horizon, M)
-    t = cfg.get("t", 0.0)
+    t = _start_time(cfg, problem.horizon)
     probes = _probes(cfg, problem.d)
     config = MlpConfig(n, M, grid, FrozenSample(seed))
     estimates = mlp_estimate(problem, config, ROOT_PATH, t, np.reshape(probes, (-1, problem.d)))
@@ -243,7 +253,7 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
     problem = entry.problem
     n, M = _level(cfg, "build-verify")
     grid = _time_grid(cfg, problem.horizon, M)
-    t = cfg.get("t", 0.0)
+    t = _start_time(cfg, problem.horizon)
     networks = network_encodings(problem, cfg.get("delta_target"))
     config = MlpConfig(n, M, grid, FrozenSample(seed))
     try:
@@ -288,7 +298,7 @@ def _sweep_fullerror(cfg: dict, seed: int, out_dir: Path) -> int:
     probes = _probes(cfg, entry.problem.d) or [np.zeros(entry.problem.d)]
     report = fullerror_check(
         entry.problem, entry.reference, entry.constants, pairs,
-        cfg.get("t", 0.0), probes[0], seeds=seeds, base_seed=seed,
+        _start_time(cfg, entry.problem.horizon), probes[0], seeds=seeds, base_seed=seed,
         grid_fn=lambda M: _time_grid(cfg, entry.problem.horizon, M),
     )
     header = ["n", "M", "delta", "reference", "rmse", "bound", "ratio", "pass"]

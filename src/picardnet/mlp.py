@@ -48,7 +48,7 @@ class SemilinearProblem:
     horizon: float
     mu: Callable
     sigma: Callable
-    f: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
     g: Callable
     lipschitz_c: float = 1.0
     encodings: Optional[Callable] = None

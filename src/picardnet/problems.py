@@ -59,9 +59,7 @@ class ReferenceSolution:
     the (N,) values of u.
     """
 
-    kind: str  # "closed-form" | "derived-oracle"
     evaluator: Callable[[float, np.ndarray], np.ndarray]
-    note: str = ""
 
     def __call__(self, t: float, X) -> np.ndarray:
         return self.evaluator(float(t), np.asarray(X, dtype=np.float64))
@@ -69,21 +67,18 @@ class ReferenceSolution:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Moment/growth constants (delta, q, b, beta, p, c); the Lyapunov
-    quadratic they refer to is analysis.lyapunov_phi(d, c, X)."""
+    """Moment/growth constants (delta, q, b, c) of the perturbation and
+    full-error bounds; the Lyapunov quadratic they refer to is
+    analysis.lyapunov_phi(d, c, X)."""
 
     delta: float
     q: float
     b: float
-    beta: float
-    p: float
     c: float
 
     def __post_init__(self) -> None:
-        if self.delta < 0 or self.q < 2 or min(self.b, self.beta, self.c) < 1:
+        if self.delta < 0 or self.q < 2 or min(self.b, self.c) < 1:
             raise EncodingError("constants outside the admissible ranges")
-        if self.p < 2 * self.beta:
-            raise EncodingError("p must be at least 2*beta")
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +150,17 @@ def coordinatewise_sum_network(d: int, scalar_net: ReluNetwork) -> ReluNetwork:
     return sum_networks([1.0] * d, parts)
 
 
-def measure_sup_deviation(net: ReluNetwork, fn: Callable, box_radius: float,
-                          probes: int = 4096, seed: int = 7) -> float:
-    """Measured sup |realize(net, x) - fn(x)| over random points in the box."""
+def measure_sup_deviation(net: ReluNetwork, fn: Callable[[np.ndarray], np.ndarray],
+                          box_radius: float, probes: int = 4096, seed: int = 7) -> float:
+    """Measured sup |realize(net, x) - fn(x)| over random points in the box.
+
+    ``fn`` maps the (probes, d) batch to one value, or one row of outputs,
+    per point; the network realizes the whole batch in one call.
+    """
     rng = np.random.default_rng(seed)
-    d = net.input_dim
-    worst = 0.0
-    pts = rng.uniform(-box_radius, box_radius, size=(probes, d))
-    for x in pts:
-        dev = float(np.max(np.abs(realize(net, x) - np.asarray(fn(x), dtype=np.float64).reshape(-1))))
-        worst = max(worst, dev)
-    return worst
+    pts = rng.uniform(-box_radius, box_radius, size=(probes, net.input_dim))
+    want = np.asarray(fn(pts), dtype=np.float64).reshape(probes, -1)
+    return float(np.max(np.abs(realize(net, pts) - want)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +169,6 @@ def measure_sup_deviation(net: ReluNetwork, fn: Callable, box_radius: float,
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     problem: SemilinearProblem
     reference: ReferenceSolution
     constants: PerturbationSpec
@@ -193,12 +187,11 @@ def _zero_mat(d: int):
 def ode_exp_problem(d: int = 1, horizon: float = 1.0) -> CatalogEntry:
     """Frozen dynamics, f(v) = v, g = 1: the solution is u(t,x) = e^(T-t)."""
 
-    def encodings(delta_target: float = 0.0) -> ProblemNetworks:
+    def encodings(delta_target: Optional[float] = None) -> ProblemNetworks:
         mu_net = affine_network(np.zeros((d, d)), np.zeros(d))
         f_net = affine_network(np.ones((1, 1)), np.zeros(1))
         g_net = affine_network(np.zeros((1, d)), np.ones(1))
-        return ProblemNetworks(mu_net, sigma_family_zero(d), f_net, g_net,
-                               delta=0.0, box_radius=math.inf)
+        return ProblemNetworks(mu_net, sigma_family_zero(d), f_net, g_net)
 
     problem = SemilinearProblem(
         name="ode-exp",
@@ -211,12 +204,8 @@ def ode_exp_problem(d: int = 1, horizon: float = 1.0) -> CatalogEntry:
         lipschitz_c=1.0,
         encodings=encodings,
     )
-    reference = ReferenceSolution(
-        "closed-form", lambda t, X: np.full(len(X), math.exp(horizon - t)),
-        note="u' = -u backwards from u(T) = 1",
-    )
-    return CatalogEntry("ode-exp", problem, reference,
-                        PerturbationSpec(0.0, 2.0, 1.0, 1.0, 2.0, 2.0))
+    reference = ReferenceSolution(lambda t, X: np.full(len(X), math.exp(horizon - t)))
+    return CatalogEntry(problem, reference, PerturbationSpec(0.0, 2.0, 1.0, 2.0))
 
 
 def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
@@ -241,9 +230,9 @@ def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
             m = max(2, int(math.ceil(2.0 * box_radius / h)))
         knots = np.linspace(-box_radius, box_radius, m + 1)
         g_net = coordinatewise_sum_network(d, pwl_network(knots, knots**2))
-        measured = measure_sup_deviation(g_net, lambda x: [float(x @ x)], box_radius)
+        measured = measure_sup_deviation(g_net, squared_norms, box_radius)
         return ProblemNetworks(mu_net, sigma_family_constant(d, sigma_const),
-                               f_net, g_net, delta=measured, box_radius=box_radius)
+                               f_net, g_net, delta=measured)
 
     problem = SemilinearProblem(
         name="heat",
@@ -256,13 +245,8 @@ def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
         lipschitz_c=1.0,
         encodings=encodings,
     )
-    reference = ReferenceSolution(
-        "closed-form",
-        lambda t, X: squared_norms(X) + 2.0 * d * (horizon - t),
-        note="additive Brownian motion, quadratic terminal",
-    )
-    return CatalogEntry("heat", problem, reference,
-                        PerturbationSpec(0.0, 2.0, 2.0, 1.0, 2.0, 2.0))
+    reference = ReferenceSolution(lambda t, X: squared_norms(X) + 2.0 * d * (horizon - t))
+    return CatalogEntry(problem, reference, PerturbationSpec(0.0, 2.0, 2.0, 2.0))
 
 
 def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
@@ -282,7 +266,7 @@ def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
     def g(X):
         return np.max(X, axis=1)
 
-    def encodings(delta_target: float = 0.0) -> ProblemNetworks:
+    def encodings(delta_target: Optional[float] = None) -> ProblemNetworks:
         mu_net = affine_network(a, b)
         f_net = ReluNetwork(
             (
@@ -291,8 +275,7 @@ def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
             )
         )
         g_net = max_network(d)
-        return ProblemNetworks(mu_net, sigma_family_constant(d, s), f_net, g_net,
-                               delta=0.0, box_radius=math.inf)
+        return ProblemNetworks(mu_net, sigma_family_constant(d, s), f_net, g_net)
 
     problem = SemilinearProblem(
         name="relu-exact",
@@ -306,8 +289,7 @@ def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
         encodings=encodings,
     )
     reference = _oracle_reference(problem)
-    return CatalogEntry("relu-exact", problem, reference,
-                        PerturbationSpec(0.0, 2.0, 2.0, 1.0, 2.0, 2.0))
+    return CatalogEntry(problem, reference, PerturbationSpec(0.0, 2.0, 2.0, 2.0))
 
 
 def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
@@ -325,7 +307,7 @@ def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
     def g(X):
         return np.maximum(np.max(X, axis=1) - strike, 0.0)
 
-    def encodings(delta_target: float = 0.0) -> ProblemNetworks:
+    def encodings(delta_target: Optional[float] = None) -> ProblemNetworks:
         mu_net = affine_network(rate * np.eye(d), np.zeros(d))
         coeffs = [vol * np.outer(np.eye(d)[k], np.eye(d)[k]) for k in range(d)]
         sigma_family = sigma_family_linear(d, coeffs)
@@ -340,8 +322,7 @@ def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
             ((np.ones((1, 1)), np.zeros(1)), (np.ones((1, 1)), np.zeros(1)))
         )
         g_net = compose(relu, compose(shift, max_network(d)))
-        return ProblemNetworks(mu_net, sigma_family, f_net, g_net,
-                               delta=0.0, box_radius=math.inf)
+        return ProblemNetworks(mu_net, sigma_family, f_net, g_net)
 
     problem = SemilinearProblem(
         name="bs-like",
@@ -355,8 +336,7 @@ def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
         encodings=encodings,
     )
     reference = _oracle_reference(problem)
-    return CatalogEntry("bs-like", problem, reference,
-                        PerturbationSpec(0.0, 2.0, 2.0, 1.0, 2.0, 2.0))
+    return CatalogEntry(problem, reference, PerturbationSpec(0.0, 2.0, 2.0, 2.0))
 
 
 def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
@@ -384,8 +364,7 @@ def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
                 cache[key] = float(np.mean(row))
         return np.array([cache[key] for key in keys])
 
-    return ReferenceSolution("derived-oracle", evaluate,
-                             note=f"picard oracle n={n}, M={M}, {seeds} seeds")
+    return ReferenceSolution(evaluate)
 
 
 _FACTORIES = {
@@ -414,4 +393,4 @@ def network_encodings(problem: SemilinearProblem,
     default construction."""
     if problem.encodings is None:
         raise EncodingError(f"problem {problem.name!r} has no network encodings")
-    return problem.encodings() if delta_target is None else problem.encodings(delta_target)
+    return problem.encodings(delta_target)

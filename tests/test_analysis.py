@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from picardnet import (
-    ErrorMeasureConfig,
     desk_growth_recipe,
     fullerror_bound,
     fullerror_bracket,
     fullerror_check,
     growth_fit,
-    l2_error,
     lyapunov_bound,
     lyapunov_check,
     lyapunov_phi,
@@ -29,39 +27,6 @@ from picardnet.analysis import (
 from picardnet.problems import catalog_entry, network_encodings, squared_norms
 from picardnet import realize, uniform_grid
 from picardnet.sde import NumericFailure
-
-
-# ---------------------------------------------------------------------------
-# L2 error
-# ---------------------------------------------------------------------------
-
-def test_l2_error_zero_for_identical_maps(heat_entry):
-    ref = heat_entry.reference
-    cfg = ErrorMeasureConfig(dimension=2, sample_count=200)
-    rmse, se = l2_error(lambda X: ref(0.0, X), ref, cfg)
-    assert rmse == 0.0 and se == 0.0
-
-
-def test_l2_error_constant_offset(heat_entry):
-    ref = heat_entry.reference
-    cfg = ErrorMeasureConfig(dimension=2, sample_count=300)
-    rmse, se = l2_error(lambda X: ref(0.0, X) + 1.0, ref, cfg)
-    assert rmse == pytest.approx(1.0, abs=1e-12)
-    assert se == pytest.approx(0.0, abs=1e-12)
-
-
-def test_l2_error_sample_count_floor():
-    with pytest.raises(Exception):
-        ErrorMeasureConfig(dimension=1, sample_count=50)
-
-
-def test_l2_error_variance_halves_with_double_samples(heat_entry):
-    ref = heat_entry.reference
-    est = lambda X: ref(0.0, X) + np.sin(40.0 * X[:, 0])
-    se_small = l2_error(est, ref, ErrorMeasureConfig(dimension=2, sample_count=400, seed=1))[1]
-    se_big = l2_error(est, ref, ErrorMeasureConfig(dimension=2, sample_count=1600, seed=2))[1]
-    assert se_big < se_small
-    assert se_big == pytest.approx(se_small / 2.0, rel=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +212,7 @@ def test_fullerror_bound_monotone_in_delta(ode_entry):
 # ---------------------------------------------------------------------------
 
 def test_recipe_level_is_minimal():
-    recipe = GrowthRecipe("synthetic", c=1.0, horizon=0.25,
+    recipe = GrowthRecipe(c=1.0, horizon=0.25,
                           rate_constant=lambda d: 0.01,
                           delta_of=lambda d, eps: eps / 10.0)
 
@@ -305,27 +270,3 @@ def test_growth_halving_eps_within_bound_ratio():
     by_eps = {r["eps"]: r["params"] for r in report.rows}
     alpha_width, beta_depth, gamma = 2.0, 1.0, 0.5
     assert by_eps[0.1] / by_eps[0.2] <= 2.0 ** (6 + 2 * alpha_width + beta_depth + gamma)
-
-
-def test_l2_error_repeat_run_consistency(heat_entry):
-    # an estimator-backed map measured twice with the same config is
-    # byte-identical, and a reseeded measurement agrees statistically
-    from picardnet import FrozenSample, MlpConfig, ROOT_PATH, mlp_estimate
-
-    entry = catalog_entry("heat", d=2)
-    problem, ref = entry.problem, entry.reference
-    grid = uniform_grid(problem.horizon, 4)
-
-    def estimator(X, seed=3000):
-        cfg = MlpConfig(2, 2, grid, FrozenSample(seed))
-        return mlp_estimate(problem, cfg, ROOT_PATH, 0.0, X)
-
-    cfg_a = ErrorMeasureConfig(dimension=2, sample_count=100, seed=5)
-    rmse1, se1 = l2_error(estimator, ref, cfg_a)
-    rmse2, _ = l2_error(estimator, ref, cfg_a)
-    assert rmse1 == rmse2  # same frozen sample, same measure: identical value
-    assert 0.0 < rmse1 < 5.0 and se1 < rmse1
-    # a reseeded run sees fresh common noise; only the magnitude is stable
-    rmse3, _ = l2_error(lambda X: estimator(X, seed=4000), ref,
-                        ErrorMeasureConfig(dimension=2, sample_count=100, seed=6))
-    assert rmse3 / rmse1 < 8.0 and rmse1 / rmse3 < 8.0

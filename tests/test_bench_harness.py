@@ -87,3 +87,15 @@ def test_paired_ratio_counts_the_repeats_a_tree_was_faster(monkeypatch):
     paired = harness.paired(runs, [{"time": 1.0}] * 4)
     assert (paired["faster"], paired["repeats"]) == (2, 4)
     assert (paired["median"], paired["min"], paired["max"]) == (0.95, 0.5, 2.0)
+
+
+def test_looped_makes_every_call_and_raises_when_their_outputs_differ(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import harness
+
+    call, output = harness.looped([lambda: 7] * 3, str)
+    assert call() == [7, 7, 7] and output(call()) == "7"
+    counter = iter(range(3))
+    call, output = harness.looped([lambda: next(counter)] * 3, str)
+    with pytest.raises(RuntimeError, match="output differs between calls of one run"):
+        output(call())

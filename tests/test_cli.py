@@ -306,6 +306,13 @@ def test_cost_guard_prices_what_the_command_runs(command, payload, counts):
     ("solve", {"points": [0.5, 1.0]}),
     ("build-verify", {"points": [0.0, 0.7, 0.2, 1.0]}),
     ("sweep", {"points": [0.5, 1.0]}),
+    # the last point must be the horizon 1.0, or the builder and the estimator disagree on T
+    ("solve", {"points": [0.0, 0.5, 2.0]}),
+    ("build-verify", {"points": [0.0, 0.5, 2.0]}),
+    ("sweep", {"points": [0.0, 0.5, 2.0]}),
+    ("solve", {"points": [0.0, 0.5]}),
+    ("build-verify", {"points": [0.0, 0.5]}),
+    ("sweep", {"points": [0.0, 0.5]}),
 ])
 def test_bad_time_grid_is_config_error(tmp_path, capsys, command, time_grid):
     cfg = write_config(tmp_path, "c.json",
@@ -314,6 +321,21 @@ def test_bad_time_grid_is_config_error(tmp_path, capsys, command, time_grid):
                         "time_grid": time_grid})
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_grid_off_the_horizon_names_its_last_point_and_the_horizon():
+    with pytest.raises(cli.ConfigError, match=r"last point 0\.5 is not the horizon 1\.0"):
+        cli._time_grid({"time_grid": {"points": [0.0, 0.5]}}, 1.0, 1)
+
+
+@pytest.mark.parametrize("command", ["solve", "build-verify", "sweep"])
+def test_start_time_past_horizon_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json",
+                       {"problem": "relu-exact", "n": 1, "M": 1, "t": 1.5,
+                        "sweep": "fullerror", "level_grid": [[1, 1]], "seeds": 2})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "t = 1.5" in err and "T = 1.0" in err
 
 
 def test_seed_key_is_rejected(tmp_path):

@@ -7,6 +7,7 @@ from picardnet import (
     FrozenSample,
     MlpConfig,
     ROOT_PATH,
+    affine_network,
     architecture,
     max_network,
     mlp_estimate,
@@ -16,7 +17,13 @@ from picardnet import (
     realize,
     uniform_grid,
 )
-from picardnet.problems import EncodingError, catalog_entry, coordinatewise_sum_network
+from picardnet.problems import (
+    EncodingError,
+    catalog_entry,
+    coordinatewise_sum_network,
+    measure_sup_deviation,
+    squared_norms,
+)
 
 SAMPLE = FrozenSample(55)
 
@@ -128,7 +135,26 @@ def test_heat_encoding_reports_measured_deviation():
     d, pieces, radius = 2, 64, 3.0
     analytic = d * (2 * radius / pieces) ** 2 / 4
     assert 0 < nets.delta <= analytic + 1e-12
-    assert nets.box_radius == radius
+
+
+def test_measure_sup_deviation_calls_fn_once_with_the_batch():
+    knots = np.linspace(-3.0, 3.0, 65)
+    net = coordinatewise_sum_network(2, pwl_network(knots, knots**2))
+    calls = []
+
+    def fn(X):
+        calls.append(X.shape)
+        return squared_norms(X)
+
+    delta = measure_sup_deviation(net, fn, 3.0)
+    assert calls == [(4096, 2)]
+    pts = np.random.default_rng(7).uniform(-3.0, 3.0, size=(4096, 2))
+    per_point = max(abs(realize(net, x)[0] - float(x @ x)) for x in pts)
+    assert delta == pytest.approx(per_point, abs=1e-12)
+    # several outputs: each point's row is compared with the network's row
+    shift = np.array([0.0, 0.25])
+    assert measure_sup_deviation(affine_network(np.eye(2), np.zeros(2)),
+                                 lambda X: X + shift, 1.0) == 0.25
 
 
 def test_heat_encoding_delta_target_controls_pieces():
