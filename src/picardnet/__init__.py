@@ -34,7 +34,6 @@ from .builder import (
     predict_architecture,
     sigma_family_constant,
     sigma_family_linear,
-    sigma_family_zero,
 )
 from .indexrng import (
     FrozenSample,
@@ -78,7 +77,6 @@ from .nets import (
 from .problems import (
     CatalogEntry,
     PerturbationSpec,
-    ReferenceSolution,
     catalog_entry,
     max_network,
     network_encodings,

@@ -20,7 +20,7 @@ from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample, standard_normals
 from .mlp import ROOT_PATH, MlpConfig, SemilinearProblem, mlp_rmse
 from .nets import param_count
-from .problems import PerturbationSpec, network_encodings, squared_norms
+from .problems import HORIZON, PerturbationSpec, network_encodings, squared_norms
 from .sde import TimeGrid, effective_breakpoints, euler_run, uniform_grid
 
 _ANALYSIS_PURPOSE = b"analysis-batch"
@@ -45,6 +45,13 @@ class CheckReport:
 
     def summary(self) -> dict:
         return {"check": self.check, "pass": bool(self.passed), "margin": float(self.margin)}
+
+
+def _report(check: str, rows: list[dict], measured_key: str) -> CheckReport:
+    """The report of the rows: it passes when every row does, and its margin
+    is the smallest row bound minus the row's ``measured_key`` value."""
+    margin = min([math.inf] + [r["bound"] - r[measured_key] for r in rows])
+    return CheckReport(check, all(r["pass"] for r in rows), margin, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +101,10 @@ def _exp_saturating(log_value: float) -> float:
     return math.exp(log_value) if log_value < 700.0 else math.inf
 
 
-def lyapunov_log_bound(kappa: float, c: float, dt: float, phi_x: float) -> float:
-    return 0.5 * kappa * ((kappa - 1.0) * c**4 + 3.0 * c**3) * dt + kappa * math.log(phi_x)
-
-
 def lyapunov_bound(kappa: float, c: float, dt: float, phi_x: float) -> float:
     """exp(kappa/2 ((kappa-1)c^4 + 3c^3) dt) * phi(x)^kappa."""
-    return _exp_saturating(lyapunov_log_bound(kappa, c, dt, phi_x))
+    return _exp_saturating(
+        0.5 * kappa * ((kappa - 1.0) * c**4 + 3.0 * c**3) * dt + kappa * math.log(phi_x))
 
 
 def suggest_lyapunov_constants(problem: SemilinearProblem) -> tuple[float, float]:
@@ -122,18 +126,17 @@ def suggest_lyapunov_constants(problem: SemilinearProblem) -> tuple[float, float
 def lyapunov_check(problem: SemilinearProblem, kappa: float, c: float,
                    probes: Sequence[tuple[float, float, Sequence[float]]],
                    n_paths: int = 100_000, c_phi: Optional[float] = None,
-                   grid: Optional[TimeGrid] = None, seed: int = 101) -> CheckReport:
+                   seed: int = 101) -> CheckReport:
     """Monte Carlo moment of phi(Y)^kappa against the exponential bound.
 
-    One row per probe (t, s, x); passes when estimate + 3 SE <= bound at
-    every probe.
+    One row per probe (t, s, x), each simulated on a one-step grid; passes
+    when estimate + 3 SE <= bound at every probe.
     """
     c_phi = c if c_phi is None else c_phi
+    grid = uniform_grid(problem.horizon, 1)
     rows = []
-    margin = math.inf
     for idx, (t, s, x) in enumerate(probes):
-        g = grid or uniform_grid(problem.horizon, 1)
-        states = simulate_terminal_batch(problem, g, t, x, s, n_paths, seed + idx)
+        states = simulate_terminal_batch(problem, grid, t, x, s, n_paths, seed + idx)
         vals = lyapunov_phi(problem.d, c_phi, states)**kappa
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(n_paths))
@@ -144,13 +147,10 @@ def lyapunov_check(problem: SemilinearProblem, kappa: float, c: float,
             {
                 "t": t, "s": s, "kappa": kappa, "c": c,
                 "estimate": est, "stderr": se, "inflated": inflated,
-                "bound": bound,
-                "log10_bound": lyapunov_log_bound(kappa, c, s - t, phi_x) / math.log(10.0),
-                "pass": inflated <= bound,
+                "bound": bound, "pass": inflated <= bound,
             }
         )
-        margin = min(margin, bound - inflated)
-    return CheckReport("lyapunov", all(r["pass"] for r in rows), margin, tuple(rows))
+    return _report("lyapunov", rows, "inflated")
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +196,21 @@ def coupled_paths(problem_a: SemilinearProblem, problem_b: SemilinearProblem,
 def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProblem,
                        u_a: Callable, u_b: Callable, constants: PerturbationSpec,
                        probes: Sequence[tuple[float, Sequence[float]]],
-                       n_paths: int = 20_000, s_nodes: int = 4,
-                       grid: Optional[TimeGrid] = None, seed: int = 33,
-                       oracle_budget: float = 0.0) -> CheckReport:
+                       n_paths: int = 20_000, seed: int = 33) -> CheckReport:
     """sup_s E|u_b(s, X^b) - u_a(s, X^a)| under coupling vs. the bound.
 
+    The sup runs over five equally spaced s in [t, T], on an 8-step grid.
     ``u_a(s, X)`` and ``u_b(s, X)`` take the (n_paths, d) batch of coupled
-    states at time s and return their (n_paths,) values.  u_b may itself be
-    an approximation; its error budget is added to the measured side
-    explicitly via ``oracle_budget``.
+    states at time s and return their (n_paths,) values.  Both are taken as
+    exact: no error budget for them is added to the measured side, so the
+    row's ``oracle_budget`` is 0.
     """
     rows = []
-    margin = math.inf
     horizon = problem_a.horizon
+    grid = uniform_grid(horizon, 8)
     for t, x in probes:
-        g = grid or uniform_grid(horizon, 8)
-        s_values = list(np.linspace(t, horizon, s_nodes + 1))
-        snaps = coupled_paths(problem_a, problem_b, g, t, x, s_values, n_paths, seed)
+        s_values = list(np.linspace(t, horizon, 5))
+        snaps = coupled_paths(problem_a, problem_b, grid, t, x, s_values, n_paths, seed)
         worst_est = 0.0
         worst_se = 0.0
         path_gap = 0.0
@@ -226,41 +224,40 @@ def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProble
         phi_x = lyapunov_phi(problem_a.d, constants.c, [x])[0]
         bound = perturbation_bound(constants.delta, constants.q, constants.b,
                                    constants.c, horizon, t, phi_x)
-        inflated = worst_est + 3.0 * worst_se + oracle_budget
+        inflated = worst_est + 3.0 * worst_se
         rows.append(
             {
                 "t": t, "delta": constants.delta, "sup_estimate": worst_est,
-                "stderr": worst_se, "oracle_budget": oracle_budget,
+                "stderr": worst_se, "oracle_budget": 0.0,
                 "inflated": inflated, "bound": bound,
                 "mean_path_gap": path_gap, "pass": inflated <= bound,
             }
         )
-        margin = min(margin, bound - inflated)
-    return CheckReport("perturbation", all(r["pass"] for r in rows), margin, tuple(rows))
+    return _report("perturbation", rows, "inflated")
 
 
 @functools.cache
-def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilists' Gauss-Hermite nodes and weights, computed once per count.
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Probabilists' 64-node Gauss-Hermite nodes and weights, computed once.
 
     The arrays are shared by every caller, so they are read-only.
     """
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    x, w = np.polynomial.hermite_e.hermegauss(64)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
 def gauss_hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: float,
-                              std: float, nodes: int = 64):
-    """E[fn(mean + std Z)] for standard normal Z, by Gauss-Hermite quadrature.
+                              std: float):
+    """E[fn(mean + std Z)] for standard normal Z, by 64-node Gauss-Hermite quadrature.
 
-    ``fn`` is called once, on the array of all ``nodes`` abscissae, and
-    returns one value per abscissa, a (nodes,) array, or one row of values
-    per abscissa, a (nodes, N) array.  The expectation is then a float, or
-    the (N,) array of the columns' expectations.
+    ``fn`` is called once, on the array of all 64 abscissae, and returns
+    one value per abscissa, a (64,) array, or one row of values per
+    abscissa, a (64, N) array.  The expectation is then a float, or the
+    (N,) array of the columns' expectations.
     """
-    x, w = _hermite_rule(nodes)
+    x, w = _hermite_rule()
     values = np.asarray(fn(mean + std * x), dtype=np.float64)
     return w @ values / math.sqrt(2 * math.pi)
 
@@ -296,29 +293,26 @@ def fullerror_bound(n: int, M: int, delta: float, constants: PerturbationSpec,
 
 def fullerror_check(problem: SemilinearProblem, reference: Callable,
                     constants: PerturbationSpec, pairs: Sequence[tuple[int, int]],
-                    t: float, x, delta: float = 0.0, seeds: int = 50,
-                    base_seed: int = 9000,
+                    t: float, x, seeds: int = 50, base_seed: int = 9000,
                     grid_fn: Optional[Callable[[int], TimeGrid]] = None) -> CheckReport:
-    """Measured RMSE against the full-error bound, one row per (n, M)."""
+    """Measured RMSE against the full-error bound at deviation 0, one row per (n, M)."""
     rows = []
-    margin = math.inf
     ref = float(reference(t, np.asarray(x, dtype=np.float64)[None])[0])
     for n, M in pairs:
         grid = grid_fn(M) if grid_fn else uniform_grid(problem.horizon, M**M)
         cfg = MlpConfig(n, M, grid, FrozenSample(base_seed))
         measured = mlp_rmse(problem, cfg, t, x, ref, seeds)
         phi_x = lyapunov_phi(problem.d, constants.c, [x])[0]
-        bound = fullerror_bound(n, M, delta, constants, problem.horizon, phi_x)
+        bound = fullerror_bound(n, M, 0.0, constants, problem.horizon, phi_x)
         ratio = measured / bound if bound > 0 else math.inf
         rows.append(
             {
-                "n": n, "M": M, "delta": delta, "reference": ref,
+                "n": n, "M": M, "delta": 0.0, "reference": ref,
                 "rmse": measured, "bound": bound, "ratio": ratio,
                 "pass": ratio <= 1.0,
             }
         )
-        margin = min(margin, bound - measured)
-    return CheckReport("fullerror", all(r["pass"] for r in rows), margin, tuple(rows))
+    return _report("fullerror", rows, "rmse")
 
 
 # ---------------------------------------------------------------------------
@@ -340,36 +334,35 @@ class GrowthRecipe:
     horizon: float
     rate_constant: Callable[[int], float]
     delta_of: Callable[[int, float], float]
-    max_level: int = 60
 
     def level(self, d: int, eps: float) -> Optional[int]:
+        """The least level n in 2..60 whose rate reaches eps / 2, or None."""
         cd = self.rate_constant(d)
-        for n in range(2, self.max_level + 1):
+        for n in range(2, 61):
             rate = cd * (math.exp(4.0 * n * self.c * self.horizon + n / 2.0) + 1.0) / n ** (n / 2.0)
             if rate <= eps / 2.0:
                 return n
         return None
 
 
-def paper_rate_constant(d: int, q: float, b: float, c: float, B: float,
-                        frak_p: float, horizon: float) -> float:
-    """8^q b^q c^2 d^((c+p)(q+1)) B^q (T+1) e^(q(32qc^4+24c^3)T + (4cT)^q + (2c+1)^2)."""
-    expo = (
-        q * (32.0 * q * c**4 + 24.0 * c**3) * horizon
-        + (4.0 * c * horizon) ** q
-        + (2.0 * c + 1.0) ** 2
-    )
-    return (
-        8.0**q * b**q * c**2 * d ** ((c + frak_p) * (q + 1.0))
-        * B**q * (horizon + 1.0) * math.exp(expo)
-    )
+def paper_growth_recipe() -> GrowthRecipe:
+    """The exact recipe at q = 2, b = c = 1, B = 16, p = frak_p = 1 and T = HORIZON.
 
+    rate constant = 8^q b^q c^2 d^((c+frak_p)(q+1)) B^q (T+1)
+    e^(q(32qc^4+24c^3)T + (4cT)^q + (2c+1)^2); deviation = eps / (4 B d^p rate constant).
+    """
+    q, b, c, B, p_size, frak_p, horizon = 2.0, 1.0, 1.0, 16.0, 1.0, 1.0, HORIZON
 
-def paper_growth_recipe(q: float = 2.0, b: float = 1.0, c: float = 1.0,
-                        B: float = 16.0, p_size: float = 1.0, frak_p: float = 1.0,
-                        horizon: float = 1.0) -> GrowthRecipe:
     def rate_constant(d: int) -> float:
-        return paper_rate_constant(d, q, b, c, B, frak_p, horizon)
+        expo = (
+            q * (32.0 * q * c**4 + 24.0 * c**3) * horizon
+            + (4.0 * c * horizon) ** q
+            + (2.0 * c + 1.0) ** 2
+        )
+        return (
+            8.0**q * b**q * c**2 * d ** ((c + frak_p) * (q + 1.0))
+            * B**q * (horizon + 1.0) * math.exp(expo)
+        )
 
     def delta_of(d: int, eps: float) -> float:
         return eps / (4.0 * B * d**p_size * rate_constant(d))
@@ -377,19 +370,14 @@ def paper_growth_recipe(q: float = 2.0, b: float = 1.0, c: float = 1.0,
     return GrowthRecipe(c, horizon, rate_constant, delta_of)
 
 
-def desk_growth_recipe(c: float = 1.0, horizon: float = 1.0, scale: float = 1e-6,
-                       d_power: float = 0.5, delta_ratio: float = 10.0) -> GrowthRecipe:
-    """Same rate/deviation shapes with buildable constants.
+def desk_growth_recipe() -> GrowthRecipe:
+    """Same rate/deviation shapes with buildable constants, at c = 1 and T = HORIZON.
 
-    rate constant = scale * d^d_power; deviation = eps / delta_ratio
-    (the exact delta formula divides by the rate constant, which at desk
-    scale would make the deviation target meaninglessly large or small).
+    rate constant = 1e-6 * d^0.5; deviation = eps / 10 (the exact delta
+    formula divides by the rate constant, which at desk scale would make
+    the deviation target meaninglessly large or small).
     """
-    return GrowthRecipe(
-        c, horizon,
-        lambda d: scale * d**d_power,
-        lambda d, eps: eps / delta_ratio,
-    )
+    return GrowthRecipe(1.0, HORIZON, lambda d: 1e-6 * d**0.5, lambda d, eps: eps / 10.0)
 
 
 @dataclass(frozen=True)
@@ -418,8 +406,8 @@ def _loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> Optional[dict]:
 
 def growth_fit(problem_factory: Callable[[int], object], d_list: Sequence[int],
                eps_list: Sequence[float], recipe: GrowthRecipe,
-               seed: int = 31_337, t: float = 0.0) -> GrowthReport:
-    """Build the recipe-selected network at each (d, eps); fit exponents.
+               seed: int = 31_337) -> GrowthReport:
+    """Build the recipe-selected network from t = 0 at each (d, eps); fit exponents.
 
     The hard assertion is pointwise: measured parameter count <= predicted
     bound.  The log-log exponents are reported with residuals and never
@@ -446,7 +434,7 @@ def growth_fit(problem_factory: Callable[[int], object], d_list: Sequence[int],
             grid = uniform_grid(problem.horizon, steps)
             cfg = MlpConfig(level, level, grid, FrozenSample(seed))
             try:
-                built = build_mlp_network(networks, cfg, ROOT_PATH, t)
+                built = build_mlp_network(networks, cfg, ROOT_PATH, 0.0)
             except BuildSizeError as exc:
                 skipped.append({"d": d, "eps": eps, "reason": "memory guard",
                                 **exc.report})

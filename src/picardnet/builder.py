@@ -114,10 +114,6 @@ def sigma_family_linear(d: int, coefficient_maps) -> SigmaNetworkFamily:
     return SigmaNetworkFamily(d, architecture(ref), factory)
 
 
-def sigma_family_zero(d: int) -> SigmaNetworkFamily:
-    return sigma_family_constant(d, np.zeros((d, d)))
-
-
 @dataclass(frozen=True)
 class ProblemNetworks:
     """Coefficient encodings (mu, sigma family, f, g) plus their measured

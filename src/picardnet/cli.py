@@ -38,13 +38,7 @@ from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample
 from .mlp import ROOT_PATH, MlpConfig, mlp_estimate, predict_work
 from .nets import architecture, max_width, network_to_dict, param_count, realize
-from .problems import (
-    catalog_entry,
-    heat_problem,
-    network_encodings,
-    problem_catalog,
-    squared_norms,
-)
+from .problems import catalog_entry, network_encodings, problem_catalog, squared_norms
 from .sde import SimulationError, TimeGrid, uniform_grid
 
 EXIT_OK = 0
@@ -149,6 +143,15 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_check(out_dir: Path, header: list[str], report) -> int:
+    """Write a check's rows to <check>.csv and its summary to
+    <check>_summary.json; the exit code follows its verdict."""
+    write_csv(out_dir / f"{report.check}.csv", header,
+              [[r[k] for k in header] for r in report.rows])
+    (out_dir / f"{report.check}_summary.json").write_text(json.dumps(report.summary()))
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _entry(cfg: dict):
@@ -302,10 +305,7 @@ def _sweep_fullerror(cfg: dict, seed: int, out_dir: Path) -> int:
         grid_fn=lambda M: _time_grid(cfg, entry.problem.horizon, M),
     )
     header = ["n", "M", "delta", "reference", "rmse", "bound", "ratio", "pass"]
-    write_csv(out_dir / "fullerror.csv", header,
-              [[r[k] for k in header] for r in report.rows])
-    (out_dir / "fullerror_summary.json").write_text(json.dumps(report.summary()))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _write_check(out_dir, header, report)
 
 
 def _sweep_lyapunov(cfg: dict, seed: int, out_dir: Path) -> int:
@@ -317,14 +317,12 @@ def _sweep_lyapunov(cfg: dict, seed: int, out_dir: Path) -> int:
     report = lyapunov_check(problem, 2.0, c, trips, n_paths=cfg.get("paths", 50_000),
                             c_phi=c_phi, seed=seed)
     header = ["t", "s", "kappa", "c", "estimate", "stderr", "inflated", "bound", "pass"]
-    write_csv(out_dir / "lyapunov.csv", header,
-              [[r[k] for k in header] for r in report.rows])
-    (out_dir / "lyapunov_summary.json").write_text(json.dumps(report.summary()))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _write_check(out_dir, header, report)
 
 
 def _sweep_growth(cfg: dict, seed: int, out_dir: Path) -> int:
     name = cfg["problem"]
+    _entry(cfg)  # an unknown problem is a config error, whatever d_list holds
     recipe = paper_growth_recipe() if cfg.get("recipe", "desk") == "paper" else desk_growth_recipe()
     report = growth_fit(
         lambda d: catalog_entry(name, d=d),
@@ -344,8 +342,10 @@ def _sweep_growth(cfg: dict, seed: int, out_dir: Path) -> int:
 
 
 def _sweep_perturbation(cfg: dict, seed: int, out_dir: Path) -> int:
-    d = cfg.get("dimension", 2)
-    base = heat_problem(d=d)
+    if cfg["problem"] != "heat":
+        raise ConfigError(f"sweep perturbation runs on heat only, not {cfg['problem']!r}")
+    base = _entry(cfg)
+    d = base.problem.d
     shifted_mu = 0.05
     pert = dataclasses.replace(
         base.problem, name="heat-shifted",
@@ -364,10 +364,7 @@ def _sweep_perturbation(cfg: dict, seed: int, out_dir: Path) -> int:
                                 probes, n_paths=cfg.get("paths", 4000), seed=seed)
     header = ["t", "delta", "sup_estimate", "stderr", "oracle_budget", "inflated",
               "bound", "mean_path_gap", "pass"]
-    write_csv(out_dir / "perturbation.csv", header,
-              [[r[k] for k in header] for r in report.rows])
-    (out_dir / "perturbation_summary.json").write_text(json.dumps(report.summary()))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _write_check(out_dir, header, report)
 
 
 def cmd_sweep(cfg: dict, seed: int, out_dir: Path) -> int:

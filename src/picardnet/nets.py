@@ -260,21 +260,14 @@ def zero_network(in_dim: int, out_dim: int, depth: int = 3) -> ReluNetwork:
     return _new_network(layers)
 
 
-def affine_network(w: Sequence[Sequence[float]], b: Sequence[float], depth: int = 3) -> ReluNetwork:
-    """Network realizing x -> Wx + b exactly, via the sign-split sandwich."""
-    if depth < 3:
-        raise NetworkError("affine network needs depth >= 3")
+def affine_network(w: Sequence[Sequence[float]], b: Sequence[float]) -> ReluNetwork:
+    """Depth-3 network realizing x -> Wx + b exactly, via the sign-split sandwich."""
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    q = w.shape[0]
+    eye = np.eye(w.shape[0])
     first = (np.concatenate([w, -w]), np.concatenate([b, -b]))
-    layers = [first]
-    for _ in range(depth - 3):
-        layers.append((np.eye(2 * q), np.zeros(2 * q)))
-    eye = np.eye(q)
-    merge = np.concatenate([eye, -eye], axis=1)
-    layers.append((merge, np.zeros(q)))
-    return _new_network(layers)
+    merge = (np.concatenate([eye, -eye], axis=1), np.zeros(w.shape[0]))
+    return _new_network([first, merge])
 
 
 def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:

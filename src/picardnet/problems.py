@@ -5,8 +5,8 @@ Each catalog entry carries evaluable coefficients, a reference solution
 factory producing coefficient networks.  Problems in the exact class
 (affine drift, affine-in-x diffusion directions, piecewise-linear f and
 g) admit encodings with zero deviation; smooth terminal conditions get
-piecewise-linear interpolations with the sup-deviation measured on a
-reported box.
+piecewise-linear interpolations whose sup-deviation is measured at random
+points of a fixed box.  Every entry has the horizon T = HORIZON.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .builder import (
     SigmaNetworkFamily,
     sigma_family_constant,
     sigma_family_linear,
-    sigma_family_zero,
 )
 from .indexrng import FrozenSample
 from .mlp import ROOT_PATH, MlpConfig, SemilinearProblem, mlp_estimate
@@ -35,6 +34,8 @@ from .nets import (
     sum_networks,
 )
 from .sde import uniform_grid
+
+HORIZON = 1.0
 
 
 class EncodingError(ValueError):
@@ -49,20 +50,6 @@ def squared_norms(X: np.ndarray) -> np.ndarray:
     round differently in the last bit at d >= 2.
     """
     return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
-
-
-@dataclass(frozen=True)
-class ReferenceSolution:
-    """u(t, x) by closed form or by a pinned high-level estimator.
-
-    The evaluator, and the solution itself, map t and an (N, d) batch to
-    the (N,) values of u.
-    """
-
-    evaluator: Callable[[float, np.ndarray], np.ndarray]
-
-    def __call__(self, t: float, X) -> np.ndarray:
-        return self.evaluator(float(t), np.asarray(X, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -151,15 +138,15 @@ def coordinatewise_sum_network(d: int, scalar_net: ReluNetwork) -> ReluNetwork:
 
 
 def measure_sup_deviation(net: ReluNetwork, fn: Callable[[np.ndarray], np.ndarray],
-                          box_radius: float, probes: int = 4096, seed: int = 7) -> float:
-    """Measured sup |realize(net, x) - fn(x)| over random points in the box.
+                          box_radius: float) -> float:
+    """Measured sup |realize(net, x) - fn(x)| over 4096 random points in the box.
 
-    ``fn`` maps the (probes, d) batch to one value, or one row of outputs,
+    ``fn`` maps the (4096, d) batch to one value, or one row of outputs,
     per point; the network realizes the whole batch in one call.
     """
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box_radius, box_radius, size=(probes, net.input_dim))
-    want = np.asarray(fn(pts), dtype=np.float64).reshape(probes, -1)
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-box_radius, box_radius, size=(4096, net.input_dim))
+    want = np.asarray(fn(pts), dtype=np.float64).reshape(len(pts), -1)
     return float(np.max(np.abs(realize(net, pts) - want)))
 
 
@@ -169,8 +156,11 @@ def measure_sup_deviation(net: ReluNetwork, fn: Callable[[np.ndarray], np.ndarra
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A problem, its reference u(t, X) -> (N,) values of the (N, d) batch X,
+    by closed form or by a pinned high-level estimator, and its constants."""
+
     problem: SemilinearProblem
-    reference: ReferenceSolution
+    reference: Callable[[float, np.ndarray], np.ndarray]
     constants: PerturbationSpec
 
 
@@ -184,19 +174,20 @@ def _zero_mat(d: int):
     return lambda X: z
 
 
-def ode_exp_problem(d: int = 1, horizon: float = 1.0) -> CatalogEntry:
+def ode_exp_problem(d: int = 1) -> CatalogEntry:
     """Frozen dynamics, f(v) = v, g = 1: the solution is u(t,x) = e^(T-t)."""
 
     def encodings(delta_target: Optional[float] = None) -> ProblemNetworks:
         mu_net = affine_network(np.zeros((d, d)), np.zeros(d))
         f_net = affine_network(np.ones((1, 1)), np.zeros(1))
         g_net = affine_network(np.zeros((1, d)), np.ones(1))
-        return ProblemNetworks(mu_net, sigma_family_zero(d), f_net, g_net)
+        return ProblemNetworks(mu_net, sigma_family_constant(d, np.zeros((d, d))),
+                               f_net, g_net)
 
     problem = SemilinearProblem(
         name="ode-exp",
         d=d,
-        horizon=horizon,
+        horizon=HORIZON,
         mu=_zero_vec(d),
         sigma=_zero_mat(d),
         f=lambda v: np.array(v, dtype=np.float64),
@@ -204,13 +195,13 @@ def ode_exp_problem(d: int = 1, horizon: float = 1.0) -> CatalogEntry:
         lipschitz_c=1.0,
         encodings=encodings,
     )
-    reference = ReferenceSolution(lambda t, X: np.full(len(X), math.exp(horizon - t)))
-    return CatalogEntry(problem, reference, PerturbationSpec(0.0, 2.0, 1.0, 2.0))
+    return CatalogEntry(problem, lambda t, X: np.full(len(X), math.exp(HORIZON - t)),
+                        PerturbationSpec(0.0, 2.0, 1.0, 2.0))
 
 
-def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
-                 box_radius: float = 3.0) -> CatalogEntry:
+def heat_problem(d: int = 2) -> CatalogEntry:
     """mu = 0, sigma = sqrt(2) I, f = 0, g(x) = |x|^2: u = |x|^2 + 2d(T-t)."""
+    pieces, box_radius = 64, 3.0
     sqrt2 = math.sqrt(2.0)
     sigma_const = sqrt2 * np.eye(d)
 
@@ -237,7 +228,7 @@ def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
     problem = SemilinearProblem(
         name="heat",
         d=d,
-        horizon=horizon,
+        horizon=HORIZON,
         mu=_zero_vec(d),
         sigma=lambda X, s=sigma_const: s,
         f=lambda v: np.zeros(np.shape(v)),
@@ -245,11 +236,11 @@ def heat_problem(d: int = 2, horizon: float = 1.0, pieces: int = 64,
         lipschitz_c=1.0,
         encodings=encodings,
     )
-    reference = ReferenceSolution(lambda t, X: squared_norms(X) + 2.0 * d * (horizon - t))
-    return CatalogEntry(problem, reference, PerturbationSpec(0.0, 2.0, 2.0, 2.0))
+    return CatalogEntry(problem, lambda t, X: squared_norms(X) + 2.0 * d * (HORIZON - t),
+                        PerturbationSpec(0.0, 2.0, 2.0, 2.0))
 
 
-def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
+def relu_exact_problem(d: int = 2) -> CatalogEntry:
     """Affine drift, constant diffusion, piecewise-linear f and max terminal.
 
     Every coefficient is exactly ReLU-representable, so the estimator and
@@ -280,7 +271,7 @@ def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
     problem = SemilinearProblem(
         name="relu-exact",
         d=d,
-        horizon=horizon,
+        horizon=HORIZON,
         mu=lambda X: np.matmul(a, X[:, :, None])[..., 0] + b,
         sigma=lambda X: s,
         f=f,
@@ -292,13 +283,13 @@ def relu_exact_problem(d: int = 2, horizon: float = 1.0) -> CatalogEntry:
     return CatalogEntry(problem, reference, PerturbationSpec(0.0, 2.0, 2.0, 2.0))
 
 
-def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
-                    vol: float = 0.2, strike: float = 1.0) -> CatalogEntry:
+def bs_like_problem(d: int = 2) -> CatalogEntry:
     """Linear drift, coordinate-proportional diffusion, rectified-max payoff.
 
     sigma(x) v = vol * diag(v) x is affine in x for each direction, so even
     this diffusion admits exact direction networks with a shared shape.
     """
+    rate, vol, strike = 0.05, 0.2, 1.0
 
     def f(v):
         # soft cap: rate * min(v, 2), Lipschitz constant `rate`
@@ -327,7 +318,7 @@ def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
     problem = SemilinearProblem(
         name="bs-like",
         d=d,
-        horizon=horizon,
+        horizon=HORIZON,
         mu=lambda X: rate * X,
         sigma=lambda X: vol * (X[:, :, None] * np.eye(d)),
         f=f,
@@ -339,9 +330,8 @@ def bs_like_problem(d: int = 2, horizon: float = 1.0, rate: float = 0.05,
     return CatalogEntry(problem, reference, PerturbationSpec(0.0, 2.0, 2.0, 2.0))
 
 
-def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
-                      seeds: int = 16, seed0: int = 424242) -> ReferenceSolution:
-    """Reference by averaged high-level estimates; memoized per (t, x).
+def _oracle_reference(problem: SemilinearProblem) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Reference by the mean of 16 estimates at n = M = 3 on 27 steps; memoized per (t, x).
 
     The estimator's own convergence justifies using a higher level than
     the system under test.
@@ -353,18 +343,18 @@ def _oracle_reference(problem: SemilinearProblem, n: int = 3, M: int = 3,
         # reversed, so that the first of several equal keys gives the point
         pending = {key: x for key, x in zip(keys[::-1], X[::-1]) if key not in cache}
         if pending:
-            grid = uniform_grid(problem.horizon, M**M)
+            grid = uniform_grid(problem.horizon, 27)
             points = np.array(list(pending.values()))
             # one walk per seed; each point's mean is over its own row of values
             rows = np.transpose([
-                mlp_estimate(problem, MlpConfig(n, M, grid, FrozenSample(seed0 + i)),
+                mlp_estimate(problem, MlpConfig(3, 3, grid, FrozenSample(424242 + i)),
                              ROOT_PATH, t, points)
-                for i in range(seeds)])
+                for i in range(16)])
             for key, row in zip(pending, rows):
                 cache[key] = float(np.mean(row))
         return np.array([cache[key] for key in keys])
 
-    return ReferenceSolution(evaluate)
+    return evaluate
 
 
 _FACTORIES = {

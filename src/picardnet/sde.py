@@ -49,9 +49,10 @@ class TimeGrid:
 
 
 def uniform_grid(horizon: float, steps: int) -> TimeGrid:
+    """steps + 1 equally spaced points from 0 to exactly ``horizon``."""
     if steps < 1:
         raise SimulationError("need at least one step")
-    return TimeGrid(tuple(horizon * k / steps for k in range(steps + 1)))
+    return TimeGrid(tuple(horizon * k / steps for k in range(steps)) + (horizon,))
 
 
 def effective_breakpoints(grid: TimeGrid, t: float, s: float) -> tuple[float, ...]:

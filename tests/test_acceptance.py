@@ -209,12 +209,12 @@ def test_criterion_6_perturbation_bound():
     constants = dataclasses.replace(base.constants, delta=shift * math.sqrt(d))
     rep_shift = perturbation_check(base.problem, shifted, base.reference, u_shift,
                                    constants, [(0.0, np.array([0.25, -0.5]))],
-                                   n_paths=20_000, s_nodes=4, seed=61)
+                                   n_paths=20_000, seed=61)
 
     pbase, pert, u_pert, pconstants = make_pwl_heat_pair(d)
     rep_interp = perturbation_check(pbase.problem, pert, pbase.reference, u_pert,
                                     pconstants, [(0.0, np.zeros(d))],
-                                    n_paths=20_000, s_nodes=4, seed=62)
+                                    n_paths=20_000, seed=62)
     ok = rep_shift.passed and rep_interp.passed
     report(6, "perturbation bound (drift shift and interpolated terminal)", ok,
            f"margins {rep_shift.margin:.3g} / {rep_interp.margin:.3g}")

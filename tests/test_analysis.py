@@ -93,7 +93,7 @@ def test_perturbation_delta_zero_measures_zero(heat_entry):
     constants = dataclasses.replace(heat_entry.constants, delta=0.0)
     ref = heat_entry.reference
     report = perturbation_check(problem, problem, ref, ref, constants,
-                                [(0.0, np.zeros(2))], n_paths=400, s_nodes=2)
+                                [(0.0, np.zeros(2))], n_paths=400)
     assert report.rows[0]["sup_estimate"] == 0.0
     # bound is zero when delta is zero, and the measurement matches exactly
     assert report.rows[0]["bound"] == 0.0
@@ -116,7 +116,7 @@ def test_perturbation_constant_drift_shift():
     constants = dataclasses.replace(base.constants, delta=shift * math.sqrt(d))
     report = perturbation_check(base.problem, pert, base.reference, u_pert,
                                 constants, [(0.0, np.array([0.3, -0.3]))],
-                                n_paths=2000, s_nodes=3)
+                                n_paths=2000)
     assert report.passed
     # coupled paths diverge by exactly shift * (s - t) * sqrt(d)
     gap = report.rows[0]["mean_path_gap"]
@@ -136,8 +136,7 @@ def make_pwl_heat_pair(d):
     # the terminal net is separable with scalar branch p, and p(0) = 0
     assert realize(g2, np.zeros(d))[0] == pytest.approx(0.0, abs=1e-14)
 
-    pert = dataclasses.replace(problem, name="heat-pwl",
-                               g=lambda x: float(realize(g2, x)[0]))
+    pert = dataclasses.replace(problem, name="heat-pwl", g=lambda X: realize(g2, X)[:, 0])
 
     def shifted(offsets, Y):
         return np.array([realize(g2, Y + v)[:, 0] for v in offsets])
@@ -159,7 +158,7 @@ def test_perturbation_interpolated_terminal():
     base, pert, u_pert, constants = make_pwl_heat_pair(d)
     report = perturbation_check(base.problem, pert, base.reference, u_pert,
                                 constants, [(0.0, np.zeros(d))],
-                                n_paths=800, s_nodes=2)
+                                n_paths=800)
     assert report.passed
 
 

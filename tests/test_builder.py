@@ -18,7 +18,7 @@ from picardnet import (
     param_count,
     predict_architecture,
     realize,
-    sigma_family_zero,
+    sigma_family_constant,
     uniform_grid,
 )
 from picardnet.builder import BuildSizeError, PARAM_GUARD
@@ -42,8 +42,8 @@ def test_euler_zero_coefficients_identity(rng):
 
     d = 2
     mu_net = affine_network(np.zeros((d, d)), np.zeros(d))
-    net = build_euler_network(mu_net, sigma_family_zero(d), uniform_grid(1.0, 3),
-                              SAMPLE, (1,), 0.2, 0.9)
+    net = build_euler_network(mu_net, sigma_family_constant(d, np.zeros((d, d))),
+                              uniform_grid(1.0, 3), SAMPLE, (1,), 0.2, 0.9)
     x = rng.uniform(-3, 3, d)
     np.testing.assert_allclose(realize(net, x), x, atol=1e-14)
 
@@ -52,8 +52,8 @@ def test_euler_single_deterministic_step():
     from picardnet import affine_network
 
     mu_net = affine_network(np.eye(1), np.zeros(1))  # drift x
-    net = build_euler_network(mu_net, sigma_family_zero(1), uniform_grid(1.0, 1),
-                              SAMPLE, (1,), 0.0, 1.0)
+    net = build_euler_network(mu_net, sigma_family_constant(1, np.zeros((1, 1))),
+                              uniform_grid(1.0, 1), SAMPLE, (1,), 0.0, 1.0)
     for x in (-2.0, 0.5, 3.0):
         assert realize(net, [x])[0] == pytest.approx(2.0 * x)  # x + T*x
 

@@ -217,6 +217,20 @@ def test_sweep_perturbation_passes(tmp_path):
     assert summary["pass"] is True
 
 
+@pytest.mark.parametrize("payload", [
+    {"problem": "nonexistent", "sweep": "perturbation"},
+    {"problem": "relu-exact", "sweep": "perturbation"},
+    {"problem": "nonexistent", "sweep": "growth", "d_list": [1]},
+    {"problem": "nonexistent", "sweep": "growth", "d_list": []},
+])
+def test_sweep_on_a_problem_it_cannot_run_is_config_error(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(payload["problem"]) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_codes_exported():
     assert (EXIT_OK, EXIT_CONFIG, EXIT_RESOURCE, EXIT_CHECK_FAILED, EXIT_INTERNAL) == (
         0, 2, 3, 4, 5)

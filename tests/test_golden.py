@@ -147,9 +147,10 @@ def test_golden_euler_network(name, want):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 
 
-# (sweep config, CLI seed, output file, SHA-256 of the file).  The
-# perturbation row is the sweep-perturbation input that perfbench derives
-# from its seed 0, pinned there too; bs-like has a state-dependent diffusion.
+# (sweep config, CLI seed, output file, SHA-256 of the file), a row per
+# file each sweep writes.  The perturbation rows are the sweep-perturbation
+# input that perfbench derives from its seed 0, pinned there too; bs-like has
+# a state-dependent diffusion; the paper growth recipe skips every point.
 SWEEP_OUTPUTS = [
     ({"problem": "heat", "dimension": 2, "sweep": "perturbation", "paths": 4000},
      3653403231, "perturbation.csv",
@@ -158,6 +159,41 @@ SWEEP_OUTPUTS = [
       "probes": [[0.9, 1.0, 1.1], [-0.5, 0.2, 2.0]]},
      1, "lyapunov.csv",
      "b7dd3559707c640c792484b6b173e5927b710de66a98fb14e0fe65c0d4e11117"),
+    ({"problem": "heat", "dimension": 2, "sweep": "perturbation", "paths": 4000},
+     3653403231, "perturbation_summary.json",
+     "d2ec0c166a78826259355f8ef489af3088be3d4443b50cc744d31628d227b5b1"),
+    ({"problem": "bs-like", "dimension": 3, "sweep": "lyapunov", "paths": 20000,
+      "probes": [[0.9, 1.0, 1.1], [-0.5, 0.2, 2.0]]},
+     1, "lyapunov_summary.json",
+     "db825cf84c93bfa94c0a9a2a5484f398965490cebf5a08277f342dbd2556ab83"),
+    ({"problem": "ode-exp", "sweep": "fullerror", "level_grid": [[1, 1], [2, 2]], "seeds": 4},
+     2, "fullerror.csv",
+     "8d89312e2a3cc389f7df22bb8f53d4a724689e36a73ad54333018a3a7655f800"),
+    ({"problem": "ode-exp", "sweep": "fullerror", "level_grid": [[1, 1], [2, 2]], "seeds": 4},
+     2, "fullerror_summary.json",
+     "ba50583c7868d0de64a099242df69ff22750ef411e3051faca6299435cb547e0"),
+    ({"problem": "relu-exact", "sweep": "fullerror", "level_grid": [[1, 1]], "seeds": 2},
+     3, "fullerror.csv",
+     "b31f26baa917612d205fa52bc92ea8c453419c36e2cca60a8299d9905cec335d"),
+    ({"problem": "relu-exact", "sweep": "fullerror", "level_grid": [[1, 1]], "seeds": 2},
+     3, "fullerror_summary.json",
+     "71b17fd61fde8b3e8734f0d052018bb4bd5298384dab1cd3ea6a516b79888718"),
+    ({"problem": "heat", "sweep": "growth", "recipe": "desk", "d_list": [1, 2],
+      "eps_list": [0.4, 0.2]},
+     4, "growth.csv",
+     "980a5d91676b6e64dd5a5579079cf49140751203e6329d40600053fa7957a851"),
+    ({"problem": "heat", "sweep": "growth", "recipe": "desk", "d_list": [1, 2],
+      "eps_list": [0.4, 0.2]},
+     4, "growth_summary.json",
+     "e0003e9072425626ae02e1e5e9b135279631ea766a3baedcac6c2512c5ebf8c3"),
+    ({"problem": "heat", "sweep": "growth", "recipe": "paper", "d_list": [1],
+      "eps_list": [0.5]},
+     5, "growth.csv",
+     "3dae233d5c0c1ba18d50113334b0ddc94319131eb1d004d98ee84e4a68e9ce88"),
+    ({"problem": "heat", "sweep": "growth", "recipe": "paper", "d_list": [1],
+      "eps_list": [0.5]},
+     5, "growth_summary.json",
+     "666af182cfabf051423176e79c1815faa6f3e44ed925d34d7a3ee44d80f3a13f"),
 ]
 
 

@@ -99,7 +99,8 @@ def test_every_stored_array_is_read_only(rng, relu_entry):
     nets = [
         a, compose(a, identity_network(2, 3)), sum_networks([0.5], [a]),
         sum_networks([1.0, -2.0], [a, b]), extend_depth(a, 5), extend_depth(a, 7),
-        identity_network(2, 4), zero_network(2, 3, 4), affine_network([[1.0, 2.0]], [0.5], 4),
+        identity_network(2, 4), zero_network(2, 3, 4),
+        extend_depth(affine_network([[1.0, 2.0]], [0.5]), 4),
         network_from_json(network_to_json(a)),
         compose_chain([identity_network(2, 3), identity_network(2, 4), a]),
         # a correction summand as the builder chains it (Euler part, sub-level
@@ -382,7 +383,7 @@ def test_affine_network_identity_and_values(rng):
     np.testing.assert_allclose(realize(net, x), x, rtol=0, atol=0)
     assert realize(affine_network([[2.0]], [1.0]), [3.0]) == pytest.approx([7.0])
     w, b = rng.standard_normal((3, 2)), rng.standard_normal(3)
-    net = affine_network(w, b, depth=5)
+    net = extend_depth(affine_network(w, b), 5)
     for _ in range(100):
         x = rng.uniform(-5, 5, 2)
         np.testing.assert_allclose(realize(net, x), w @ x + b, rtol=1e-12, atol=1e-12)

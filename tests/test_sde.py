@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 
 from picardnet import (
     FrozenSample,
+    MlpConfig,
+    ROOT_PATH,
     TimeGrid,
     effective_breakpoints,
     euler_evaluate,
+    mlp_estimate,
     uniform_grid,
 )
 from picardnet.sde import NumericFailure, SimulationError, euler_run
@@ -20,7 +24,7 @@ SAMPLE = FrozenSample(2024)
 def make_problem(d, mu, sigma):
     return SemilinearProblem(
         name="test", d=d, horizon=1.0, mu=mu, sigma=sigma,
-        f=lambda v: 0.0, g=lambda x: 0.0,
+        f=lambda v: np.zeros(np.shape(v)), g=lambda X: np.zeros(len(X)),
     )
 
 
@@ -36,6 +40,20 @@ def test_grid_validation():
         TimeGrid((0.0, 0.7, 0.3))
     grid = TimeGrid((0.0, 0.5, 0.5, 1.0))
     assert grid.steps == 3 and grid.horizon == 1.0
+
+
+@pytest.mark.parametrize("horizon, steps", [(0.7, 3), (0.1, 3), (1.0, 1), (1.0, 7), (2.5, 64)])
+def test_uniform_grid_ends_at_its_horizon(horizon, steps):
+    grid = uniform_grid(horizon, steps)
+    assert grid.horizon == horizon and grid.steps == steps
+    assert grid.points[:-1] == tuple(horizon * k / steps for k in range(steps))
+
+
+def test_estimate_on_a_uniform_grid_of_another_horizon():
+    # at the horizon 0.7 the grid's last point used to be 0.6999999999999998
+    problem = dataclasses.replace(catalog_entry("relu-exact").problem, horizon=0.7)
+    config = MlpConfig(2, 2, uniform_grid(0.7, 3), SAMPLE)
+    assert np.isfinite(mlp_estimate(problem, config, ROOT_PATH, 0.0, [0.1, 0.2]))
 
 
 def test_effective_breakpoints():
