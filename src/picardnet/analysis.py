@@ -9,7 +9,6 @@ one row per probe or grid point plus a pass flag and the worst margin.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -234,32 +233,6 @@ def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProble
             }
         )
     return _report("perturbation", rows, "inflated")
-
-
-@functools.cache
-def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Probabilists' 64-node Gauss-Hermite nodes and weights, computed once.
-
-    The arrays are shared by every caller, so they are read-only.
-    """
-    x, w = np.polynomial.hermite_e.hermegauss(64)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def gauss_hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: float,
-                              std: float):
-    """E[fn(mean + std Z)] for standard normal Z, by 64-node Gauss-Hermite quadrature.
-
-    ``fn`` is called once, on the array of all 64 abscissae, and returns
-    one value per abscissa, a (64,) array, or one row of values per
-    abscissa, a (64, N) array.  The expectation is then a float, or the
-    (N,) array of the columns' expectations.
-    """
-    x, w = _hermite_rule()
-    values = np.asarray(fn(mean + std * x), dtype=np.float64)
-    return w @ values / math.sqrt(2 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Picard network whose realization equals the recursive estimator pointwise
 under the same frozen sample.  The builders never store raw noise; they
 re-derive every draw from the keyed substreams, which is what guarantees
 agreement with the simulator.  The Picard network walks the index tree
-that ``mlp`` owns (``picard_branches`` for the keys, ``sample_sizes`` for
-the counts), so it consumes exactly the estimator's substreams.
+that ``mlp`` owns (``picard_branches`` for the keys, ``picard_node`` for
+the shape), so it consumes exactly the estimator's substreams.
 
 Architecture accounting is exact: ``predict_architecture`` computes the
 resulting width vector symbolically with the same composition/sum/padding
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .indexrng import FrozenSample, IndexPath, uniform_time
-from .mlp import picard_branches, sample_sizes
+from .mlp import picard_branches, picard_node
 from .nets import (
     Architecture,
     NetworkError,
@@ -255,31 +255,24 @@ def predict_architecture(
     y_arch = euler_architecture(mu_arch, sigma_arch, d, steps)
     y_depth = len(y_arch)
     f_depth, g_depth = len(f_arch), len(g_arch)
-    memo: dict[int, Architecture] = {}
 
+    @functools.cache
     def level_arch(level: int) -> Architecture:
-        if level in memo:
-            return memo[level]
         if level == 0:
-            arch = (d,) + (1,) * (y_depth + g_depth - 3) + (1,)
-        else:
-            # the unpadded l = level - 1 correction fixes the common depth
-            depth = len(level_arch(level - 1)) + y_depth - 1 + f_depth - 1
+            return (d,) + (1,) * (y_depth + g_depth - 3) + (1,)
+        # the unpadded l = level - 1 correction fixes the common depth
+        depth = len(level_arch(level - 1)) + y_depth - 1 + f_depth - 1
 
-            def correction(sub: Architecture) -> Architecture:
-                core = compose_architecture(sub, y_arch)
-                return compose_architecture(f_arch, extend_architecture(core, depth - f_depth + 1))
+        def correction(sub: Architecture) -> Architecture:
+            core = compose_architecture(sub, y_arch)
+            return compose_architecture(f_arch, extend_architecture(core, depth - f_depth + 1))
 
-            g_pad = extend_architecture(g_arch, depth - y_depth + 1)
-            sizes = sample_sizes(level, M)
-            groups = [(compose_architecture(g_pad, y_arch), sizes[0])]
-            for l, size in enumerate(sizes):
-                groups.append((correction(level_arch(l)), size))
-                if l >= 1:
-                    groups.append((correction(level_arch(l - 1)), size))
-            arch = sum_architecture([_scale_hidden(a, count) for a, count in groups])
-        memo[level] = arch
-        return arch
+        g_pad = extend_architecture(g_arch, depth - y_depth + 1)
+        terminal, groups = picard_node(level, M)
+        summands = [(compose_architecture(g_pad, y_arch), terminal)]
+        summands += [(correction(level_arch(sub)), size)
+                     for _, size, subs in groups for _, sub in subs]
+        return sum_architecture([_scale_hidden(a, count) for a, count in summands])
 
     arch = level_arch(n)
     c_eff = max(2, 2 * d, max_width(f_arch), max_width(g_arch), max_width(y_arch))
@@ -394,16 +387,14 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
         terminal, groups = picard_branches(branch, level, M)
         parts = [compose(shared, euler_net(key, start, T)) for key in terminal]
         coefs = [1.0 / len(terminal)] * len(terminal)
-        for l, group in enumerate(groups):
+        for group in groups:
             weight = (T - start) / len(group)
-            for key, partner in group:
+            for key, subs in group:
                 ts = uniform_time(sample, key, start, T)
                 ynet = euler_net(key, start, ts)
-                parts.append(correction(depth, ynet, build_level(l, key, ts)))
-                coefs.append(weight)
-                if partner is not None:
-                    parts.append(correction(depth, ynet, build_level(l - 1, partner, ts)))
-                    coefs.append(-weight)
+                for sign, sub, sub_key in subs:
+                    parts.append(correction(depth, ynet, build_level(sub, sub_key, ts)))
+                    coefs.append(sign * weight)
         return sum_networks(coefs, parts)
 
     net = build_level(n, tuple(path), float(t))

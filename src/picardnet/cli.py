@@ -299,6 +299,8 @@ def _sweep_fullerror(cfg: dict, seed: int, out_dir: Path) -> int:
     entry = _entry(cfg)
     pairs, seeds, _ = _planned_walks(cfg, "sweep")
     probes = _probes(cfg, entry.problem.d) or [np.zeros(entry.problem.d)]
+    if len(probes) > 1:
+        raise ConfigError(f"sweep fullerror measures one point, but probes lists {len(probes)}")
     report = fullerror_check(
         entry.problem, entry.reference, entry.constants, pairs,
         _start_time(cfg, entry.problem.horizon), probes[0], seeds=seeds, base_seed=seed,

@@ -54,7 +54,7 @@ class FrozenSample:
 
 def child(path: IndexPath, *entries: int) -> IndexPath:
     """Extend an index path; extension is injective by construction."""
-    return tuple(path) + tuple(int(e) for e in entries)
+    return (*path, *map(int, entries))
 
 
 _PATH_STRUCTS: dict[int, struct.Struct] = {}  # path length -> its packing

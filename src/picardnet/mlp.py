@@ -7,10 +7,10 @@ integer index paths, so a second evaluation with the same frozen sample
 reproduces the estimate bit for bit, and an independently constructed
 network consuming the same draws can match it pointwise.
 
-This module owns that index tree: ``sample_sizes`` gives a node's sample
-sizes and ``picard_branches`` its keys.  The estimator here and the
-network builder both walk the tree through them, and ``predict_work``
-counts the Euler paths and keyed substreams one estimate consumes.
+This module owns that index tree: ``picard_node`` states a node's shape
+once, and ``picard_branches`` adds its keys.  The estimator here and the
+network builder walk the tree through the keys; ``predict_work`` and the
+builder's ``predict_architecture`` fold the shape level by level.
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ def mlp_estimate(problem: SemilinearProblem, config: MlpConfig, path: IndexPath,
     """Recursive multilevel Picard estimate at (t, x) under index path.
 
     Level 0 (and below) is the constant-zero estimator.  The terminal
-    term averages g over M^n Euler paths keyed (path, 0, -i); each
-    correction summand evaluates f at the level-l and level-(l-1)
-    estimates at the shared sampled point (T_t, Y_{t,T_t}) keyed
-    (path, l, i) / (path, -l, i).  Keys are paths, not points, so one walk
+    term averages g over the terminal Euler paths of ``picard_branches``;
+    each correction summand evaluates f at a branch's signed sub-estimates
+    at its sampled point (T_t, Y_{t,T_t}).  Keys are paths, not points, so one walk
     carries a whole batch, each row with the bits of its own walk: a point
     of shape (d,) gives a float, and a batch of shape (N, d) gives (N,).
     """
@@ -94,35 +93,34 @@ def mlp_estimate(problem: SemilinearProblem, config: MlpConfig, path: IndexPath,
     return float(values[0]) if X.shape == (problem.d,) else values
 
 
-def sample_sizes(level: int, M: int) -> list[int]:
-    """Sample sizes of a level-``level`` node of the Picard tree.
+def picard_node(level: int, M: int) -> tuple[int, list[tuple[int, int, list[tuple[int, int]]]]]:
+    """Shape of a level-``level`` node of the Picard tree, for level >= 1.
 
-    Entry l is M^(level - l), the number of its level-l branches; entry 0,
-    M^level, is also the number of its terminal paths.  A level-0 node is
-    the zero estimator and has no samples.
+    Returns (terminal, groups): the node averages g over ``terminal`` =
+    M^level Euler paths, and for each l < level, group (l, size, subs)
+    holds size = M^(level - l) branches, each of which re-runs the signed
+    sub-estimates ``subs``: (+1, l), and (-1, l - 1) when l >= 1.  A level-0
+    node is the zero estimator and has no samples.
     """
-    return [M ** (level - l) for l in range(level)]
+    return M ** level, [(l, M ** (level - l), [(1, l), (-1, l - 1)] if l >= 1 else [(1, l)])
+                        for l in range(level)]
 
 
-Branch = tuple[IndexPath, Optional[IndexPath]]
-
-
-def picard_branches(path: IndexPath, level: int,
-                    M: int) -> tuple[list[IndexPath], list[list[Branch]]]:
+def picard_branches(path: IndexPath, level: int, M: int):
     """Keys of the node at ``path``: its terminal paths and branch groups.
 
-    Terminal path i is keyed (path, 0, -i).  Group l (for l < level) holds
-    M^(level - l) branches (key, partner): the level-l estimate re-runs
-    under key (path, l, i) and the level-(l-1) estimate under its partner
-    (path, -l, i), or ``None`` for l = 0.  The key also names the branch's
-    sampled time and its Euler path.  Pure: derives no draws.
+    Terminal path i is keyed (path, 0, -i).  Group (l, size, subs) of
+    ``picard_node`` becomes ``size`` branches (key, subs): branch i is keyed
+    (path, l, i), which also names its sampled time and Euler path, and each
+    signed sub-estimate comes as (sign, sub-level, key), re-run under the key
+    (path, sign * l, i).  Pure: derives no draws.
     """
-    sizes = sample_sizes(level, M)
-    terminal = [child(path, 0, -i) for i in range(1, sizes[0] + 1)] if sizes else []
-    groups = [[(child(path, l, i), child(path, -l, i) if l else None)
-               for i in range(1, size + 1)]
-              for l, size in enumerate(sizes)]
-    return terminal, groups
+    count, groups = picard_node(level, M)
+    terminal = [child(path, 0, -i) for i in range(1, count + 1)]
+    return terminal, [[(child(path, l, i), [(sign, sub, child(path, sign * l, i))
+                                           for sign, sub in subs])
+                       for i in range(1, size + 1)]
+                      for l, size, subs in groups]
 
 
 def predict_work(n: int, M: int) -> tuple[int, int]:
@@ -130,15 +128,15 @@ def predict_work(n: int, M: int) -> tuple[int, int]:
 
     A node draws one Brownian substream per terminal path, and one uniform
     time plus one Brownian substream per branch, then recurses into the
-    branch's level-l and level-(l-1) estimates.
+    branch's sub-estimates.
     """
     paths, streams = [0], [0]
     for level in range(1, n + 1):
-        sizes = sample_sizes(level, M)
-        p = s = sizes[0]
-        for l, size in enumerate(sizes):
-            p += size * (1 + paths[l] + (paths[l - 1] if l else 0))
-            s += size * (2 + streams[l] + (streams[l - 1] if l else 0))
+        terminal, groups = picard_node(level, M)
+        p = s = terminal
+        for _, size, subs in groups:
+            p += size * (1 + sum(paths[sub] for _, sub in subs))
+            s += size * (2 + sum(streams[sub] for _, sub in subs))
         paths.append(p)
         streams.append(s)
     return paths[n], streams[n]
@@ -150,22 +148,21 @@ def _estimate(problem, config, path, t, X, level, f0) -> np.ndarray:
         return np.zeros(len(X))
     T = problem.horizon
     terminal, groups = picard_branches(path, level, config.M)
-
-    def f_of(key, ts, Y, l):
-        return problem.f(_estimate(problem, config, key, ts, Y, l, f0)) if l > 0 else f0
-
     acc = np.zeros(len(X))
     for key in terminal:
         acc += problem.g(euler_evaluate(problem, config.grid, config.sample, key, t, X, T))
     acc /= len(terminal)
-    for l, group in enumerate(groups):
+    for group in groups:
         block = np.zeros(len(X))
-        for key, partner in group:
+        for key, subs in group:
             ts = uniform_time(config.sample, key, t, T)
             Y = euler_evaluate(problem, config.grid, config.sample, key, t, X, ts)
-            value = f_of(key, ts, Y, l)
-            if partner is not None:
-                value = value - f_of(partner, ts, Y, l - 1)
+            value = -0.0  # the additive identity: -0.0 + v is v, bit for bit
+            for sign, sub, sub_key in subs:
+                term = (problem.f(_estimate(problem, config, sub_key, ts, Y, sub, f0))
+                        if sub > 0 else f0)
+                # no sign * term: a scalar times an array is one more NumPy call
+                value = value + term if sign > 0 else value - term
             block += value
         acc += (T - t) / len(group) * block
     if not np.isfinite(acc).all():

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from picardnet import (
 from picardnet.analysis import (
     GrowthRecipe,
     coupled_paths,
-    gauss_hermite_expectation,
     simulate_terminal_batch,
 )
 from picardnet.problems import catalog_entry, network_encodings, squared_norms
@@ -122,6 +123,32 @@ def test_perturbation_constant_drift_shift():
     gap = report.rows[0]["mean_path_gap"]
     assert gap == pytest.approx(shift * 1.0 * math.sqrt(d), rel=1e-9)
     assert gap <= shift * horizon * math.exp(base.problem.lipschitz_c * horizon)
+
+
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Probabilists' 64-node Gauss-Hermite nodes and weights, computed once.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.hermite_e.hermegauss(64)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_hermite_expectation(fn: Callable[[np.ndarray], np.ndarray], mean: float,
+                              std: float):
+    """E[fn(mean + std Z)] for standard normal Z, by 64-node Gauss-Hermite quadrature.
+
+    ``fn`` is called once, on the array of all 64 abscissae, and returns
+    one value per abscissa, a (64,) array, or one row of values per
+    abscissa, a (64, N) array.  The expectation is then a float, or the
+    (N,) array of the columns' expectations.
+    """
+    x, w = _hermite_rule()
+    values = np.asarray(fn(mean + std * x), dtype=np.float64)
+    return w @ values / math.sqrt(2 * math.pi)
 
 
 def make_pwl_heat_pair(d):

@@ -260,3 +260,54 @@ def test_builder_and_estimator_draw_the_same_substreams(monkeypatch, name, n, M)
     build_mlp_network(network_encodings(entry.problem), cfg, path, t)
     assert Counter(drawn) == estimated
     assert sum(estimated.values()) > 0
+    assert max(estimated.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["relu-exact", "ode-exp"])
+@pytest.mark.parametrize("n, M", [(n, M) for n in (1, 2, 3) for M in (1, 2, 3)])
+def test_one_node_description_moves_every_reader(monkeypatch, name, n, M):
+    """Dropping group 0 from ``picard_node`` alone moves the estimate's work,
+    the builder's draws, the predicted architecture and ``predict_work``
+    together, so no walker restates the tree's shape."""
+    import sys
+    from collections import Counter
+
+    from picardnet import indexrng, mlp
+
+    real_node = mlp.picard_node
+    unpatched_work = mlp.predict_work(n, M)
+
+    def without_group_zero(level, M):
+        terminal, groups = real_node(level, M)
+        return terminal, [group for group in groups if group[0] != 0]
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "picard_node", None) is real_node:
+            monkeypatch.setattr(module, "picard_node", without_group_zero)
+    assert mlp.predict_work(n, M)[0] < unpatched_work[0]
+
+    real_generator, real_evaluate = indexrng.generator, mlp.euler_evaluate
+    drawn: list = []
+    paths = [0]
+
+    def recorded(sample, path, purpose):
+        drawn.append((purpose, tuple(path)))
+        return real_generator(sample, path, purpose)
+
+    def counted(*args, **kwargs):
+        paths[0] += 1
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(indexrng, "generator", recorded)
+    monkeypatch.setattr(mlp, "euler_evaluate", counted)
+    entry = catalog_entry(name, d=2)
+    cfg = MlpConfig(n, M, uniform_grid(1.0, 2), SAMPLE)
+    path, t, x = (3, 1), 0.25, np.array([0.2, -0.1])
+    u = mlp_estimate(entry.problem, cfg, path, t, x)
+    estimated = Counter(drawn)
+    assert mlp.predict_work(n, M) == (paths[0], len(drawn))
+    drawn.clear()
+    built = build_mlp_network(network_encodings(entry.problem), cfg, path, t)
+    assert Counter(drawn) == estimated
+    r = float(realize(built.network, x)[0])
+    assert abs(r - u) <= 1e-8 * (1.0 + abs(u))

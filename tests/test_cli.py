@@ -179,6 +179,19 @@ def test_sweep_fullerror_grid_rows(tmp_path):
     assert summary["pass"] is True and summary["check"] == "fullerror"
 
 
+def test_sweep_fullerror_refuses_a_second_probe(tmp_path, capsys):
+    # its CSV has no probe column, and the cost guard prices one row
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"problem": "ode-exp", "sweep": "fullerror", "level_grid": [[1, 1]],
+         "seeds": 2, "probes": [[0.5], [3.0]]},
+    )
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "probes" in err and "sweep fullerror" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_growth_columns(tmp_path):
     cfg = write_config(
         tmp_path, "c.json",
