@@ -1,7 +1,9 @@
 """Batch experiment runner: solve, build-verify and sweep subcommands.
 
 Experiments are driven by a JSON config validated against a published
-schema (unknown keys are rejected); outputs are CSV files with '.'
+schema.  One table, ``READS``, gives the keys each command (each sweep by
+its kind) reads and the value it runs when the config leaves a key out; a
+key the command does not read is rejected.  Outputs are CSV files with '.'
 decimals, LF line endings and 17-significant-digit floats, plus JSON
 summaries, so reruns with the same config and seed are byte-identical.
 
@@ -38,7 +40,7 @@ from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample
 from .mlp import ROOT_PATH, MlpConfig, mlp_estimate, predict_work
 from .nets import architecture, max_width, network_to_dict, param_count, realize
-from .problems import catalog_entry, network_encodings, problem_catalog, squared_norms
+from .problems import FACTORIES, EncodingError, catalog_entry, network_encodings, squared_norms
 from .sde import SimulationError, TimeGrid, uniform_grid
 
 EXIT_OK = 0
@@ -59,11 +61,27 @@ EXIT_INTERNAL = 5
 SUBSTREAM_PATH_STEPS = 9
 WORK_GUARD = 20_000_000
 
-# what each command runs when the config leaves it out: (n, M) of solve and
-# build-verify, and the level grid and seeds of sweep fullerror
-DEFAULT_LEVELS = {"solve": (2, 2), "build-verify": (1, 1)}
-DEFAULT_LEVEL_GRID = [[2, 2]]
-DEFAULT_SEEDS = 30
+# The keys each command reads, each sweep counted by its kind, with the value
+# it runs when the config leaves the key out; REQUIRED marks a key with no
+# default.  "dimension": None runs the problem's own d, and "time_grid": {}
+# runs M^M uniform steps.
+REQUIRED = object()
+_SOLVE = {"problem": REQUIRED, "dimension": None, "n": 2, "M": 2, "time_grid": {},
+          "t": 0.0, "probes": []}
+READS = {
+    "solve": _SOLVE,
+    "build-verify": {**_SOLVE, "n": 1, "M": 1, "delta_target": None,
+                     "serialize_network": False},
+    "sweep fullerror": {"problem": REQUIRED, "dimension": None, "sweep": "fullerror",
+                        "level_grid": [[2, 2]], "time_grid": {}, "t": 0.0, "probes": [],
+                        "seeds": 30},
+    "sweep lyapunov": {"problem": REQUIRED, "dimension": None, "sweep": REQUIRED,
+                       "probes": [], "paths": 50_000},
+    "sweep growth": {"problem": REQUIRED, "sweep": REQUIRED, "d_list": [1, 2],
+                     "eps_list": [0.5, 0.25], "recipe": "desk"},
+    "sweep perturbation": {"problem": REQUIRED, "dimension": None, "sweep": REQUIRED,
+                           "paths": 4000},
+}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -71,7 +89,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["problem"],
     "properties": {
-        "problem": {"type": "string"},
+        "problem": {"enum": sorted(FACTORIES)},
         "dimension": {"type": "integer", "minimum": 1},
         "n": {"type": "integer", "minimum": 0},
         "M": {"type": "integer", "minimum": 1},
@@ -79,7 +97,8 @@ CONFIG_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "array",
-                "items": {"type": "integer", "minimum": 0},
+                "prefixItems": [{"type": "integer", "minimum": 0},
+                                {"type": "integer", "minimum": 1}],
                 "minItems": 2,
                 "maxItems": 2,
             },
@@ -100,7 +119,7 @@ CONFIG_SCHEMA = {
             "items": {"type": "array", "items": {"type": "number"}},
         },
         "seeds": {"type": "integer", "minimum": 1},
-        "delta_target": {"type": ["number", "null"]},
+        "delta_target": {"type": ["number", "null"], "minimum": 0},
         "sweep": {
             "type": "string",
             "enum": ["fullerror", "growth", "lyapunov", "perturbation"],
@@ -118,16 +137,27 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str) -> dict:
+def _resolve(cfg, command: str) -> dict:
+    """Check a config against the schema and the command's row of READS, and
+    fill in the row's value of each key the config leaves out."""
+    errors = sorted(("/".join(map(str, e.absolute_path)), e.message)
+                    for e in Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg))
+    if errors:
+        raise ConfigError("; ".join(f"{at}: {msg}" if at else msg for at, msg in errors))
+    name = f"sweep {cfg.get('sweep', 'fullerror')}" if command == "sweep" else command
+    unread = sorted(cfg.keys() - READS[name].keys())
+    if unread:
+        raise ConfigError(f"{name} does not read {', '.join(unread)}")
+    return {**READS[name], **cfg}
+
+
+def load_config(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg), key=str)
-    if errors:
-        raise ConfigError("; ".join(e.message for e in errors))
-    return cfg
+    return _resolve(cfg, command)
 
 
 def _fmt(value) -> str:
@@ -155,25 +185,20 @@ def _write_check(out_dir: Path, header: list[str], report) -> int:
 
 
 def _entry(cfg: dict):
-    name = cfg["problem"]
-    try:
-        if "dimension" in cfg:
-            return catalog_entry(name, d=cfg["dimension"])
-        return catalog_entry(name)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    d = cfg["dimension"]
+    return catalog_entry(cfg["problem"]) if d is None else catalog_entry(cfg["problem"], d=d)
 
 
 def _grid_steps(cfg: dict, M: int) -> int:
     """Steps of a run's Euler grid, read from the config without building it."""
-    spec = cfg.get("time_grid", {})
+    spec = cfg["time_grid"]
     if "points" in spec:
         return len(spec["points"]) - 1
     return spec.get("uniform_steps", M**M)
 
 
 def _time_grid(cfg: dict, horizon: float, M: int) -> TimeGrid:
-    spec = cfg.get("time_grid", {})
+    spec = cfg["time_grid"]
     try:
         if "points" not in spec:
             return uniform_grid(horizon, _grid_steps(cfg, M))
@@ -186,23 +211,17 @@ def _time_grid(cfg: dict, horizon: float, M: int) -> TimeGrid:
 
 
 def _start_time(cfg: dict, horizon: float) -> float:
-    t = cfg.get("t", 0.0)
+    t = cfg["t"]
     if not 0.0 <= t <= horizon:
         raise ConfigError(f"t = {t} is outside [0, T] for the horizon T = {horizon}")
     return t
 
 
 def _probes(cfg: dict, d: int) -> list[np.ndarray]:
-    for p in cfg.get("probes", []):
+    for p in cfg["probes"]:
         if len(p) != d:
             raise ConfigError(f"probe {p} has wrong dimension (want {d})")
-    return [np.asarray(p, dtype=np.float64) for p in cfg.get("probes", [])]
-
-
-def _level(cfg: dict, command: str) -> tuple[int, int]:
-    """(n, M) of the estimates ``solve`` or ``build-verify`` runs."""
-    n, M = DEFAULT_LEVELS[command]
-    return cfg.get("n", n), cfg.get("M", M)
+    return [np.asarray(p, dtype=np.float64) for p in cfg["probes"]]
 
 
 def _planned_walks(cfg: dict, command: str) -> tuple[list[tuple[int, int]], int, int]:
@@ -213,11 +232,10 @@ def _planned_walks(cfg: dict, command: str) -> tuple[list[tuple[int, int]], int,
     at each pair of its level grid; the other sweeps run none.
     """
     if command != "sweep":
-        return [_level(cfg, command)], 1, max(1, len(cfg.get("probes", [])))
-    if cfg.get("sweep", "fullerror") != "fullerror":
+        return [(cfg["n"], cfg["M"])], 1, max(1, len(cfg["probes"]))
+    if cfg["sweep"] != "fullerror":
         return [], 0, 0
-    pairs = [tuple(pair) for pair in cfg.get("level_grid", DEFAULT_LEVEL_GRID)]
-    return pairs, cfg.get("seeds", DEFAULT_SEEDS), 1
+    return [tuple(pair) for pair in cfg["level_grid"]], cfg["seeds"], 1
 
 
 def _guard_work(cfg: dict, command: str) -> None:
@@ -239,7 +257,7 @@ def _guard_work(cfg: dict, command: str) -> None:
 def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     entry = _entry(cfg)
     problem = entry.problem
-    n, M = _level(cfg, "solve")
+    n, M = cfg["n"], cfg["M"]
     grid = _time_grid(cfg, problem.horizon, M)
     t = _start_time(cfg, problem.horizon)
     probes = _probes(cfg, problem.d)
@@ -254,10 +272,13 @@ def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
 def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
     entry = _entry(cfg)
     problem = entry.problem
-    n, M = _level(cfg, "build-verify")
+    n, M = cfg["n"], cfg["M"]
     grid = _time_grid(cfg, problem.horizon, M)
     t = _start_time(cfg, problem.horizon)
-    networks = network_encodings(problem, cfg.get("delta_target"))
+    try:
+        networks = network_encodings(problem, cfg["delta_target"])
+    except EncodingError as exc:
+        raise ConfigError(f"delta_target = {cfg['delta_target']}: {exc}") from exc
     config = MlpConfig(n, M, grid, FrozenSample(seed))
     try:
         built = build_mlp_network(networks, config, ROOT_PATH, t)
@@ -287,7 +308,7 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "build_verify.json").write_text(json.dumps(report, indent=2))
-    if cfg.get("serialize_network", False):
+    if cfg["serialize_network"]:
         payload = {"network": network_to_dict(built.network),
                    "provenance": built.provenance}
         (out_dir / "network.json").write_text(json.dumps(payload))
@@ -316,7 +337,7 @@ def _sweep_lyapunov(cfg: dict, seed: int, out_dir: Path) -> int:
     c, c_phi = suggest_lyapunov_constants(problem)
     probes = _probes(cfg, problem.d) or [np.zeros(problem.d)]
     trips = [(0.0, problem.horizon, x) for x in probes]
-    report = lyapunov_check(problem, 2.0, c, trips, n_paths=cfg.get("paths", 50_000),
+    report = lyapunov_check(problem, 2.0, c, trips, n_paths=cfg["paths"],
                             c_phi=c_phi, seed=seed)
     header = ["t", "s", "kappa", "c", "estimate", "stderr", "inflated", "bound", "pass"]
     return _write_check(out_dir, header, report)
@@ -324,15 +345,9 @@ def _sweep_lyapunov(cfg: dict, seed: int, out_dir: Path) -> int:
 
 def _sweep_growth(cfg: dict, seed: int, out_dir: Path) -> int:
     name = cfg["problem"]
-    _entry(cfg)  # an unknown problem is a config error, whatever d_list holds
-    recipe = paper_growth_recipe() if cfg.get("recipe", "desk") == "paper" else desk_growth_recipe()
-    report = growth_fit(
-        lambda d: catalog_entry(name, d=d),
-        cfg.get("d_list", [1, 2]),
-        cfg.get("eps_list", [0.5, 0.25]),
-        recipe,
-        seed=seed,
-    )
+    recipe = paper_growth_recipe() if cfg["recipe"] == "paper" else desk_growth_recipe()
+    report = growth_fit(lambda d: catalog_entry(name, d=d), cfg["d_list"], cfg["eps_list"],
+                        recipe, seed=seed)
     header = ["d", "eps", "n", "M", "steps", "delta", "params", "param_bound",
               "width", "width_bound", "depth", "pass"]
     write_csv(out_dir / "growth.csv", header,
@@ -363,20 +378,19 @@ def _sweep_perturbation(cfg: dict, seed: int, out_dir: Path) -> int:
                                     delta=shifted_mu * math.sqrt(d))
     probes = [(0.0, np.zeros(d))]
     report = perturbation_check(base.problem, pert, base.reference, u_pert, constants,
-                                probes, n_paths=cfg.get("paths", 4000), seed=seed)
+                                probes, n_paths=cfg["paths"], seed=seed)
     header = ["t", "delta", "sup_estimate", "stderr", "oracle_budget", "inflated",
               "bound", "mean_path_gap", "pass"]
     return _write_check(out_dir, header, report)
 
 
 def cmd_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
-    kind = cfg.get("sweep", "fullerror")
     handler = {
         "fullerror": _sweep_fullerror,
         "lyapunov": _sweep_lyapunov,
         "growth": _sweep_growth,
         "perturbation": _sweep_perturbation,
-    }[kind]
+    }[cfg["sweep"]]
     return handler(cfg, seed, out_dir)
 
 
@@ -397,14 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "problems":
-        for name in sorted(problem_catalog()):
+        for name in sorted(FACTORIES):
             print(name)
         return EXIT_OK
     if not args.config:
         print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         if not args.force:
             _guard_work(cfg, args.command)
         out_dir = Path(args.out)

@@ -357,7 +357,8 @@ def _oracle_reference(problem: SemilinearProblem) -> Callable[[float, np.ndarray
     return evaluate
 
 
-_FACTORIES = {
+# the catalog's names, each with the factory of its entry
+FACTORIES = {
     "ode-exp": ode_exp_problem,
     "heat": heat_problem,
     "relu-exact": relu_exact_problem,
@@ -367,13 +368,13 @@ _FACTORIES = {
 
 def problem_catalog() -> dict[str, CatalogEntry]:
     """Name-addressable catalog used by the library, tests and the CLI."""
-    return {name: factory() for name, factory in _FACTORIES.items()}
+    return {name: factory() for name, factory in FACTORIES.items()}
 
 
 def catalog_entry(name: str, **overrides) -> CatalogEntry:
-    if name not in _FACTORIES:
-        raise KeyError(f"unknown problem {name!r}; known: {sorted(_FACTORIES)}")
-    return _FACTORIES[name](**overrides)
+    if name not in FACTORIES:
+        raise KeyError(f"unknown problem {name!r}; known: {sorted(FACTORIES)}")
+    return FACTORIES[name](**overrides)
 
 
 def network_encodings(problem: SemilinearProblem,

@@ -1,6 +1,8 @@
+import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from picardnet.cli import (
@@ -265,14 +267,16 @@ def test_numeric_failure_exits_internal(tmp_path, monkeypatch, capsys):
     {"problem": "relu-exact", "sweep": "fullerror", "level_grid": [[4, 4], [3, 3]], "seeds": 1},
 ])
 def test_cost_guard_admits_affordable_runs(payload):
-    cli._guard_work(payload, "sweep" if "sweep" in payload else "solve")
+    command = "sweep" if "sweep" in payload else "solve"
+    cli._guard_work(cli._resolve(payload, command), command)
 
 
 def test_cost_guard_prices_one_walk_for_all_probes(monkeypatch):
     # 200 rows x 4916 paths x 8 steps + 9 x 7528 substreams + 8 grid steps; priced
     # as 200 estimates, one per probe, the same run would cost 21,416,008
-    payload = {"problem": "relu-exact", "n": 4, "M": 4, "time_grid": {"uniform_steps": 8},
-               "probes": [[0.0, 0.0]] * 200}
+    payload = cli._resolve({"problem": "relu-exact", "n": 4, "M": 4,
+                            "time_grid": {"uniform_steps": 8}, "probes": [[0.0, 0.0]] * 200},
+                           "solve")
     cli._guard_work(payload, "solve")
     monkeypatch.setattr(cli, "WORK_GUARD", 7_933_359)
     with pytest.raises(cli.ConfigError) as err:
@@ -322,9 +326,18 @@ def test_cost_guard_refuses_predicted_work(tmp_path, capsys, monkeypatch, payloa
 ])
 def test_cost_guard_prices_what_the_command_runs(command, payload, counts):
     # each is admitted when priced as one estimate at the config's own n and M
+    resolved = cli._resolve(payload, command)
     with pytest.raises(cli.ConfigError) as err:
-        cli._guard_work(payload, command)
+        cli._guard_work(resolved, command)
     assert counts in str(err.value)
+
+
+# the levels each command reads, so that a config error comes from the key under test
+LEVELS = {
+    "solve": {"n": 1, "M": 1},
+    "build-verify": {"n": 1, "M": 1},
+    "sweep": {"sweep": "fullerror", "level_grid": [[1, 1]], "seeds": 2},
+}
 
 
 @pytest.mark.parametrize("command, time_grid", [
@@ -342,12 +355,11 @@ def test_cost_guard_prices_what_the_command_runs(command, payload, counts):
     ("sweep", {"points": [0.0, 0.5]}),
 ])
 def test_bad_time_grid_is_config_error(tmp_path, capsys, command, time_grid):
-    cfg = write_config(tmp_path, "c.json",
-                       {"problem": "ode-exp", "n": 1, "M": 1, "probes": [[0.0]],
-                        "sweep": "fullerror", "level_grid": [[1, 1]], "seeds": 2,
-                        "time_grid": time_grid})
+    cfg = write_config(tmp_path, "c.json", {"problem": "ode-exp", "probes": [[0.0]],
+                                            **LEVELS[command], "time_grid": time_grid})
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "time_grid" in err
 
 
 def test_grid_off_the_horizon_names_its_last_point_and_the_horizon():
@@ -357,9 +369,7 @@ def test_grid_off_the_horizon_names_its_last_point_and_the_horizon():
 
 @pytest.mark.parametrize("command", ["solve", "build-verify", "sweep"])
 def test_start_time_past_horizon_is_config_error(tmp_path, capsys, command):
-    cfg = write_config(tmp_path, "c.json",
-                       {"problem": "relu-exact", "n": 1, "M": 1, "t": 1.5,
-                        "sweep": "fullerror", "level_grid": [[1, 1]], "seeds": 2})
+    cfg = write_config(tmp_path, "c.json", {"problem": "relu-exact", "t": 1.5, **LEVELS[command]})
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "t = 1.5" in err and "T = 1.0" in err
@@ -369,3 +379,116 @@ def test_seed_key_is_rejected(tmp_path):
     # --seed is the one way to set the master seed
     cfg = write_config(tmp_path, "c.json", {"problem": "ode-exp", "seed": 5, "probes": []})
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("solve", "seeds", 3),
+    ("solve", "paths", 1000),
+    ("solve", "recipe", "desk"),
+    ("solve", "serialize_network", True),
+    ("solve", "d_list", [1]),
+    ("solve", "sweep", "growth"),
+    ("sweep growth", "dimension", 2),
+    ("sweep growth", "t", 0.5),
+    ("sweep growth", "probes", [[0.0]]),
+    ("sweep perturbation", "probes", [[5.0, 5.0]]),
+    ("sweep perturbation", "t", 0.5),
+    ("sweep perturbation", "time_grid", {"uniform_steps": 2}),
+    ("sweep lyapunov", "t", 0.5),
+    ("sweep lyapunov", "time_grid", {"uniform_steps": 2}),
+])
+def test_a_key_the_command_does_not_read_is_config_error(tmp_path, capsys, name, key, value):
+    command, _, kind = name.partition(" ")
+    payload = {"problem": "heat", **({"sweep": kind} if kind else {}), key: value}
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {name} does not read {key}\n"
+    assert not (tmp_path / "o").exists()
+
+
+class RecordingConfig(dict):
+    """A resolved config that records the keys read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# a small run of each row of cli.READS that reaches every key the row holds
+SMALL_RUNS = {
+    "solve": {"problem": "relu-exact", "n": 1, "M": 1, "time_grid": {"uniform_steps": 2},
+              "probes": [[0.1, -0.2]]},
+    "build-verify": {"problem": "relu-exact", "n": 1, "M": 1,
+                     "time_grid": {"uniform_steps": 2}, "probes": [[0.1, -0.2]]},
+    "sweep fullerror": {"problem": "ode-exp", "sweep": "fullerror", "level_grid": [[1, 1]],
+                        "seeds": 2},
+    "sweep lyapunov": {"problem": "heat", "dimension": 1, "sweep": "lyapunov", "paths": 200},
+    "sweep growth": {"problem": "heat", "sweep": "growth", "recipe": "paper", "d_list": [1],
+                     "eps_list": [0.5]},
+    "sweep perturbation": {"problem": "heat", "sweep": "perturbation", "paths": 200},
+}
+
+
+@pytest.mark.parametrize("name", SMALL_RUNS)
+def test_each_command_reads_every_key_of_its_row(tmp_path, monkeypatch, name):
+    resolved = []
+    resolve = cli._resolve
+
+    def recording(cfg, command):
+        resolved.append(RecordingConfig(resolve(cfg, command)))
+        return resolved[-1]
+
+    monkeypatch.setattr(cli, "_resolve", recording)
+    cfg = write_config(tmp_path, "c.json", SMALL_RUNS[name])
+    code = run([name.split()[0], "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    [read] = [r.read for r in resolved]
+    assert read == set(cli.READS[name])
+    assert set(SMALL_RUNS) == set(cli.READS)
+
+
+def test_level_grid_base_zero_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json",
+                       {"problem": "ode-exp", "sweep": "fullerror", "level_grid": [[1, 0]]})
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: level_grid/0/1: 0 is less than the minimum of 1" in err
+
+
+@pytest.mark.parametrize("problem, delta_target, message", [
+    ("relu-exact", -1.0, "delta_target: -1.0 is less than the minimum of 0"),
+    ("heat", -1.0, "delta_target: -1.0 is less than the minimum of 0"),
+    # heat's squared-norm terminal has no exact encoding; the message gives the achievable one
+    ("heat", 0.0, "delta_target = 0.0: squared-norm terminal admits no exact encoding; "
+                  "achievable deviation at 64 pieces is"),
+])
+def test_bad_delta_target_is_config_error(tmp_path, capsys, problem, delta_target, message):
+    cfg = write_config(tmp_path, "c.json", {"problem": problem, "n": 1, "M": 1,
+                                            "time_grid": {"uniform_steps": 1},
+                                            "delta_target": delta_target})
+    out = tmp_path / "o"
+    assert run(["build-verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_and_golden_configs_are_accepted(monkeypatch):
+    # a config the benchmark runs that its command refused would fail every operation
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    workloads = importlib.import_module("workloads")
+    mc = importlib.import_module("mc")
+    from test_golden import SWEEP_OUTPUTS
+
+    runs = [(w.command[0], config) for w in workloads.WORKLOADS.values()
+            if isinstance(w, workloads.CliWorkload)
+            for config, _ in w.configs(np.random.default_rng(0))]
+    runs += [("sweep", config) for config, *_ in [*mc.SWEEPS.values(), *SWEEP_OUTPUTS]]
+    assert {command for command, _ in runs} == {"solve", "build-verify", "sweep"}
+    for command, config in runs:
+        cli._resolve(config, command)
