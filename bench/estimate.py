@@ -20,7 +20,7 @@ Cases:
   overhead in the Euler kernel.
 - ``reference 4 points``: relu-exact's oracle reference, d = 2, at t = 0 on
   four fixed points, each the mean of 16 level-3 estimates on 27 steps,
-  reported in seconds (5 runs per tree).
+  reported in seconds.
 
 The output is the SHA-256 of every draw's bytes, or the estimates'
 ``float.hex``, so runs of different source trees can be shown to draw the
@@ -29,7 +29,7 @@ same bits.
     python3 bench/estimate.py parent=PARENT/src change=src
 
 writes BENCH_estimate.json in the current directory: 11 runs of each case
-per tree (5 for the reference), by the method in ``harness.py``.
+per tree, by the method in ``harness.py``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ CASES = {
     **{f"estimate n=M={n} K={steps}": harness.Case(functools.partial(estimate, n, steps),
                                                    scale=1 / loops)
        for (n, steps), loops in ESTIMATE_LOOPS.items()},
-    "reference 4 points": harness.Case(reference, repeats=5),
+    "reference 4 points": harness.Case(reference),
 }
 
 if __name__ == "__main__":

@@ -65,9 +65,7 @@ from .nets import (
     identity_network,
     max_width,
     network_from_dict,
-    network_from_json,
     network_to_dict,
-    network_to_json,
     param_count,
     realize,
     sum_architecture,
@@ -80,7 +78,6 @@ from .problems import (
     catalog_entry,
     max_network,
     network_encodings,
-    problem_catalog,
     pwl_network,
 )
 from .sde import (

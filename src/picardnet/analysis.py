@@ -19,7 +19,7 @@ from .builder import BuildSizeError, build_mlp_network
 from .indexrng import FrozenSample, standard_normals
 from .mlp import ROOT_PATH, MlpConfig, SemilinearProblem, mlp_rmse
 from .nets import param_count
-from .problems import HORIZON, PerturbationSpec, network_encodings, squared_norms
+from .problems import HORIZON, EncodingError, PerturbationSpec, network_encodings, squared_norms
 from .sde import TimeGrid, effective_breakpoints, euler_run, uniform_grid
 
 _ANALYSIS_PURPOSE = b"analysis-batch"
@@ -124,14 +124,12 @@ def suggest_lyapunov_constants(problem: SemilinearProblem) -> tuple[float, float
 
 def lyapunov_check(problem: SemilinearProblem, kappa: float, c: float,
                    probes: Sequence[tuple[float, float, Sequence[float]]],
-                   n_paths: int = 100_000, c_phi: Optional[float] = None,
-                   seed: int = 101) -> CheckReport:
+                   n_paths: int, c_phi: float, seed: int = 101) -> CheckReport:
     """Monte Carlo moment of phi(Y)^kappa against the exponential bound.
 
     One row per probe (t, s, x), each simulated on a one-step grid; passes
     when estimate + 3 SE <= bound at every probe.
     """
-    c_phi = c if c_phi is None else c_phi
     grid = uniform_grid(problem.horizon, 1)
     rows = []
     for idx, (t, s, x) in enumerate(probes):
@@ -156,20 +154,21 @@ def lyapunov_check(problem: SemilinearProblem, kappa: float, c: float,
 # coupled-path perturbation bound
 # ---------------------------------------------------------------------------
 
+def _bound_exponent(head: float, q: float, c: float, horizon: float, span: float,
+                    phi_x: float) -> float:
+    """head + log(T+1) + q(2qc^4+3c^3) span + 2^q c^q T^q + (c+1)^2 + (q+1/2) log phi,
+    the exponent the perturbation and full-error bounds share, summed left to right."""
+    return (head + math.log(horizon + 1.0) + q * (2.0 * q * c**4 + 3.0 * c**3) * span
+            + 2.0**q * c**q * horizon**q + (c + 1.0) ** 2 + (q + 0.5) * math.log(phi_x))
+
+
 def perturbation_bound(delta: float, q: float, b: float, c: float, horizon: float,
                        t: float, phi_x: float) -> float:
     """delta 2^(q+2) b^q (T+1) e^(q(2qc^4+3c^3)(T-t) + 2^q c^q T^q + (c+1)^2) phi^(q+1/2)."""
     if delta == 0.0:
         return 0.0
-    log_value = (
-        math.log(delta) + (q + 2.0) * math.log(2.0) + q * math.log(b)
-        + math.log(horizon + 1.0)
-        + q * (2.0 * q * c**4 + 3.0 * c**3) * (horizon - t)
-        + 2.0**q * c**q * horizon**q
-        + (c + 1.0) ** 2
-        + (q + 0.5) * math.log(phi_x)
-    )
-    return _exp_saturating(log_value)
+    head = math.log(delta) + (q + 2.0) * math.log(2.0) + q * math.log(b)
+    return _exp_saturating(_bound_exponent(head, q, c, horizon, horizon - t, phi_x))
 
 
 def coupled_paths(problem_a: SemilinearProblem, problem_b: SemilinearProblem,
@@ -195,7 +194,7 @@ def coupled_paths(problem_a: SemilinearProblem, problem_b: SemilinearProblem,
 def perturbation_check(problem_a: SemilinearProblem, problem_b: SemilinearProblem,
                        u_a: Callable, u_b: Callable, constants: PerturbationSpec,
                        probes: Sequence[tuple[float, Sequence[float]]],
-                       n_paths: int = 20_000, seed: int = 33) -> CheckReport:
+                       n_paths: int, seed: int = 33) -> CheckReport:
     """sup_s E|u_b(s, X^b) - u_a(s, X^a)| under coupling vs. the bound.
 
     The sup runs over five equally spaced s in [t, T], on an 8-step grid.
@@ -252,21 +251,14 @@ def fullerror_bound(n: int, M: int, delta: float, constants: PerturbationSpec,
                     horizon: float, phi_x: float) -> float:
     """4^q b^q c^2 (T+1) e^(q(2qc^4+3c^3)T + 2^q c^q T^q + (c+1)^2) phi^(q+1/2) * bracket."""
     q, b, c = constants.q, constants.b, constants.c
-    log_pref = (
-        q * math.log(4.0) + q * math.log(b) + 2.0 * math.log(c)
-        + math.log(horizon + 1.0)
-        + q * (2.0 * q * c**4 + 3.0 * c**3) * horizon
-        + 2.0**q * c**q * horizon**q
-        + (c + 1.0) ** 2
-        + (q + 0.5) * math.log(phi_x)
-    )
-    pref = _exp_saturating(log_pref)
+    head = q * math.log(4.0) + q * math.log(b) + 2.0 * math.log(c)
+    pref = _exp_saturating(_bound_exponent(head, q, c, horizon, horizon, phi_x))
     return pref * fullerror_bracket(n, M, delta, c, horizon)
 
 
 def fullerror_check(problem: SemilinearProblem, reference: Callable,
                     constants: PerturbationSpec, pairs: Sequence[tuple[int, int]],
-                    t: float, x, seeds: int = 50, base_seed: int = 9000,
+                    t: float, x, seeds: int, base_seed: int = 9000,
                     grid_fn: Optional[Callable[[int], TimeGrid]] = None) -> CheckReport:
     """Measured RMSE against the full-error bound at deviation 0, one row per (n, M)."""
     rows = []
@@ -400,7 +392,7 @@ def growth_fit(problem_factory: Callable[[int], object], d_list: Sequence[int],
             problem = entry.problem
             try:
                 networks = network_encodings(problem, delta)
-            except Exception as exc:  # unreachable deviation target
+            except EncodingError as exc:  # unreachable deviation target
                 skipped.append({"d": d, "eps": eps, "reason": str(exc)})
                 continue
             steps = level**level

@@ -26,7 +26,6 @@ compositions is assembled once by ``compose_chain``, not one binary
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -334,20 +333,12 @@ def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> 
     All summands must share input dimension, output dimension and depth.
     First-layer weights stack vertically, hidden layers go block-diagonal,
     and the coefficients fold into the final affine layer.  Every layer of
-    a sum of several networks is fresh and checked, and its width vector
-    must equal ``sum_architecture`` of the summands'; a single summand
-    keeps its trusted layers and only its rescaled last layer is checked.
+    the sum is fresh and checked, a single summand's too, and its width
+    vector must equal ``sum_architecture`` of the summands'.
     """
     if len(coefficients) != len(nets) or not nets:
         raise NetworkError("need one coefficient per network, and at least one network")
     arch = sum_architecture([net.widths for net in nets])  # checks depth and endpoints
-    if len(nets) == 1:
-        h = float(coefficients[0])
-        widths = nets[0].widths
-        w_last, b_last = nets[0].layers[-1]
-        last = (h * w_last, h * b_last)
-        _fresh((last,), widths[-2], widths[-1], len(widths) - 2)
-        return _assemble(nets[0].layers[:-1] + (last,), widths)
     n_aff = len(nets[0].layers)
     q = nets[0].output_dim
     layers = []
@@ -428,11 +419,3 @@ def network_from_dict(data: dict) -> ReluNetwork:
         b = np.asarray(entry["bias"], dtype=np.float64)
         layers.append((w, b))
     return ReluNetwork(tuple(layers))
-
-
-def network_to_json(net: ReluNetwork) -> str:
-    return json.dumps(network_to_dict(net))
-
-
-def network_from_json(text: str) -> ReluNetwork:
-    return network_from_dict(json.loads(text))

@@ -7,12 +7,14 @@ factory producing coefficient networks.  Problems in the exact class
 g) admit encodings with zero deviation; smooth terminal conditions get
 piecewise-linear interpolations whose sup-deviation is measured at random
 points of a fixed box.  Every entry has the horizon T = HORIZON.
+``drift_shifted_heat`` pairs heat with the same problem under a constant
+drift, whose closed form and deviation the perturbation check compares.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +30,6 @@ from .mlp import ROOT_PATH, MlpConfig, SemilinearProblem, mlp_estimate
 from .nets import (
     ReluNetwork,
     affine_network,
-    architecture,
     compose,
     realize,
     sum_networks,
@@ -142,12 +143,15 @@ def measure_sup_deviation(net: ReluNetwork, fn: Callable[[np.ndarray], np.ndarra
     """Measured sup |realize(net, x) - fn(x)| over 4096 random points in the box.
 
     ``fn`` maps the (4096, d) batch to one value, or one row of outputs,
-    per point; the network realizes the whole batch in one call.
+    per point.  The network realizes it in row blocks of at most 2^22 values
+    per layer, so memory stays bounded at any piece count; width 1024 is one block.
     """
     rng = np.random.default_rng(7)
     pts = rng.uniform(-box_radius, box_radius, size=(4096, net.input_dim))
     want = np.asarray(fn(pts), dtype=np.float64).reshape(len(pts), -1)
-    return float(np.max(np.abs(realize(net, pts) - want)))
+    rows = max(1, 2**22 // max(net.widths))
+    got = np.concatenate([realize(net, pts[i:i + rows]) for i in range(0, len(pts), rows)])
+    return float(np.max(np.abs(got - want)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +242,27 @@ def heat_problem(d: int = 2) -> CatalogEntry:
     )
     return CatalogEntry(problem, lambda t, X: squared_norms(X) + 2.0 * d * (HORIZON - t),
                         PerturbationSpec(0.0, 2.0, 2.0, 2.0))
+
+
+DRIFT_SHIFT = 0.05
+
+
+def drift_shifted_heat(base: CatalogEntry) -> CatalogEntry:
+    """Heat ``base`` under the constant drift mu = DRIFT_SHIFT * (1, ..., 1).
+
+    Its paths are heat's shifted by DRIFT_SHIFT (s - t) in every coordinate,
+    so u(s, y) = |y + DRIFT_SHIFT (T - s) 1|^2 + 2d(T - s), and its drift
+    deviates from heat's by delta = DRIFT_SHIFT sqrt(d).
+    """
+    d = base.problem.d
+    problem = replace(base.problem, name="heat-shifted", mu=lambda X: DRIFT_SHIFT * np.ones(d))
+
+    def reference(s, Y):
+        drift = DRIFT_SHIFT * (HORIZON - s) * np.ones(d)
+        return squared_norms(Y + drift) + 2 * d * (HORIZON - s)
+
+    return CatalogEntry(problem, reference,
+                        replace(base.constants, delta=DRIFT_SHIFT * math.sqrt(d)))
 
 
 def relu_exact_problem(d: int = 2) -> CatalogEntry:
@@ -331,28 +356,20 @@ def bs_like_problem(d: int = 2) -> CatalogEntry:
 
 
 def _oracle_reference(problem: SemilinearProblem) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Reference by the mean of 16 estimates at n = M = 3 on 27 steps; memoized per (t, x).
+    """Reference by the mean of 16 estimates at n = M = 3 on 27 steps.
 
     The estimator's own convergence justifies using a higher level than
     the system under test.
     """
-    cache: dict[tuple, float] = {}
 
     def evaluate(t: float, X: np.ndarray) -> np.ndarray:
-        keys = [(round(t, 12), tuple(np.round(x, 12))) for x in X]
-        # reversed, so that the first of several equal keys gives the point
-        pending = {key: x for key, x in zip(keys[::-1], X[::-1]) if key not in cache}
-        if pending:
-            grid = uniform_grid(problem.horizon, 27)
-            points = np.array(list(pending.values()))
-            # one walk per seed; each point's mean is over its own row of values
-            rows = np.transpose([
-                mlp_estimate(problem, MlpConfig(3, 3, grid, FrozenSample(424242 + i)),
-                             ROOT_PATH, t, points)
-                for i in range(16)])
-            for key, row in zip(pending, rows):
-                cache[key] = float(np.mean(row))
-        return np.array([cache[key] for key in keys])
+        grid = uniform_grid(problem.horizon, 27)
+        # one walk per seed; each point's mean is over its own row of values
+        rows = np.transpose([
+            mlp_estimate(problem, MlpConfig(3, 3, grid, FrozenSample(424242 + i)),
+                         ROOT_PATH, t, X)
+            for i in range(16)])
+        return np.array([float(np.mean(row)) for row in rows])
 
     return evaluate
 
@@ -364,11 +381,6 @@ FACTORIES = {
     "relu-exact": relu_exact_problem,
     "bs-like": bs_like_problem,
 }
-
-
-def problem_catalog() -> dict[str, CatalogEntry]:
-    """Name-addressable catalog used by the library, tests and the CLI."""
-    return {name: factory() for name, factory in FACTORIES.items()}
 
 
 def catalog_entry(name: str, **overrides) -> CatalogEntry:

@@ -4,7 +4,6 @@ PASS/FAIL line.  Tolerances are pinned here and nowhere else.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ from picardnet import (
     uniform_grid,
 )
 from picardnet.analysis import perturbation_check
-from picardnet.problems import catalog_entry, network_encodings, squared_norms
+from picardnet.problems import catalog_entry, drift_shifted_heat, network_encodings
 from conftest import random_network
 
 from test_analysis import make_pwl_heat_pair
@@ -196,20 +195,11 @@ def test_criterion_5_lyapunov_bound():
 
 def test_criterion_6_perturbation_bound():
     d = 2
-    shift = 0.05
     base = catalog_entry("heat", d=d)
-    horizon = base.problem.horizon
-    shifted = dataclasses.replace(base.problem, name="heat-shift",
-                                  mu=lambda x: shift * np.ones(d))
-
-    def u_shift(s, Y):
-        drift = shift * (horizon - s) * np.ones(d)
-        return squared_norms(Y + drift) + 2 * d * (horizon - s)
-
-    constants = dataclasses.replace(base.constants, delta=shift * math.sqrt(d))
-    rep_shift = perturbation_check(base.problem, shifted, base.reference, u_shift,
-                                   constants, [(0.0, np.array([0.25, -0.5]))],
-                                   n_paths=20_000, seed=61)
+    shifted = drift_shifted_heat(base)
+    rep_shift = perturbation_check(base.problem, shifted.problem, base.reference,
+                                   shifted.reference, shifted.constants,
+                                   [(0.0, np.array([0.25, -0.5]))], n_paths=20_000, seed=61)
 
     pbase, pert, u_pert, pconstants = make_pwl_heat_pair(d)
     rep_interp = perturbation_check(pbase.problem, pert, pbase.reference, u_pert,

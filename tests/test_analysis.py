@@ -25,7 +25,8 @@ from picardnet.analysis import (
     coupled_paths,
     simulate_terminal_batch,
 )
-from picardnet.problems import catalog_entry, network_encodings, squared_norms
+from picardnet.problems import (DRIFT_SHIFT, EncodingError, catalog_entry, drift_shifted_heat,
+                                network_encodings)
 from picardnet import realize, uniform_grid
 from picardnet.sde import NumericFailure
 
@@ -103,26 +104,17 @@ def test_perturbation_delta_zero_measures_zero(heat_entry):
 
 def test_perturbation_constant_drift_shift():
     d = 2
-    shift = 0.05
     base = catalog_entry("heat", d=d)
     horizon = base.problem.horizon
-    pert = dataclasses.replace(
-        base.problem, name="heat-shift", mu=lambda x: shift * np.ones(d)
-    )
-
-    def u_pert(s, Y):
-        drift = shift * (horizon - s) * np.ones(d)
-        return squared_norms(Y + drift) + 2 * d * (horizon - s)
-
-    constants = dataclasses.replace(base.constants, delta=shift * math.sqrt(d))
-    report = perturbation_check(base.problem, pert, base.reference, u_pert,
-                                constants, [(0.0, np.array([0.3, -0.3]))],
-                                n_paths=2000)
+    shifted = drift_shifted_heat(base)
+    report = perturbation_check(base.problem, shifted.problem, base.reference,
+                                shifted.reference, shifted.constants,
+                                [(0.0, np.array([0.3, -0.3]))], n_paths=2000)
     assert report.passed
-    # coupled paths diverge by exactly shift * (s - t) * sqrt(d)
+    # coupled paths diverge by exactly DRIFT_SHIFT * (s - t) * sqrt(d)
     gap = report.rows[0]["mean_path_gap"]
-    assert gap == pytest.approx(shift * 1.0 * math.sqrt(d), rel=1e-9)
-    assert gap <= shift * horizon * math.exp(base.problem.lipschitz_c * horizon)
+    assert gap == pytest.approx(DRIFT_SHIFT * 1.0 * math.sqrt(d), rel=1e-9)
+    assert gap <= DRIFT_SHIFT * horizon * math.exp(base.problem.lipschitz_c * horizon)
 
 
 @functools.cache
@@ -258,6 +250,25 @@ def test_paper_recipe_unbuildable_at_honest_constants():
     report = growth_fit(lambda d: catalog_entry("heat", d=d), [1], [0.5], recipe)
     assert len(report.rows) == 0
     assert report.skipped and report.skipped[0]["reason"] == "no level within range"
+
+
+def test_growth_fit_skips_an_unreachable_deviation_but_not_a_crash():
+    def with_encodings(error):
+        def factory(d):
+            entry = catalog_entry("heat", d=d)
+
+            def encodings(delta_target=None):
+                raise error
+
+            return dataclasses.replace(
+                entry, problem=dataclasses.replace(entry.problem, encodings=encodings))
+        return factory
+
+    recipe = desk_growth_recipe()
+    report = growth_fit(with_encodings(EncodingError("unreachable")), [1], [0.4], recipe)
+    assert report.rows == () and report.skipped[0]["reason"] == "unreachable"
+    with pytest.raises(RuntimeError, match="crash"):
+        growth_fit(with_encodings(RuntimeError("crash")), [1], [0.4], recipe)
 
 
 def test_growth_single_point_degenerates_to_raw_count():

@@ -21,7 +21,7 @@ from picardnet import (
     catalog_entry,
     mlp_estimate,
     network_encodings,
-    network_to_json,
+    network_to_dict,
     uniform_grid,
 )
 from picardnet import cli
@@ -107,7 +107,7 @@ def test_golden_coupled_paths(names, steps, t, s_values, seed, want):
     assert _sha(*parts) == want
 
 
-# (problem, seed, t, SHA-256 of network_to_json, n, M) at K = 2; level 3 is the
+# (problem, seed, t, SHA-256 of the network's JSON, n, M) at K = 2; level 3 is the
 # first level whose correction summands are padded by two pad units
 NETWORKS = [
     ("relu-exact", 17, 0.0,
@@ -124,11 +124,11 @@ def test_golden_network(name, seed, t, want, n, M):
     problem = catalog_entry(name).problem
     config = MlpConfig(n, M, uniform_grid(problem.horizon, 2), FrozenSample(seed))
     built = build_mlp_network(network_encodings(problem), config, ROOT_PATH, t)
-    text = network_to_json(built.network)
+    text = json.dumps(network_to_dict(built.network))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 
 
-# (problem, SHA-256 of network_to_json) of one Euler network at d = 2, K = 8,
+# (problem, SHA-256 of the network's JSON) of one Euler network at d = 2, K = 8,
 # seed 0, from t = 0.3 to s = 0.6: three live steps between dead intervals on
 # both sides; relu-exact has a constant sigma family, bs-like a linear one
 EULER_NETWORKS = [
@@ -143,8 +143,30 @@ def test_golden_euler_network(name, want):
     encodings = network_encodings(problem)
     net = build_euler_network(encodings.mu, encodings.sigma, uniform_grid(problem.horizon, 8),
                               FrozenSample(0), ROOT_PATH, 0.3, 0.6)
-    text = network_to_json(net)
+    text = json.dumps(network_to_dict(net))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+# (d, SHA-256 of the JSON of heat's terminal encoding g at 64 pieces); at d = 1
+# the coordinatewise sum has a single summand
+HEAT_TERMINALS = [
+    (1, "523ec5f5d49e8f2001a048b6ac18b51b592789303fd8607968bb8723df15840c"),
+    (2, "a8e9191b928c56c37054ad62c58531b53ce31b057c95f7ca2edea87fb56d4671"),
+    (3, "c40c6409fcecbd4f4d424415d87b126ef6078568a30a19f3a087def081efcfe1"),
+]
+
+
+@pytest.mark.parametrize("d, want", HEAT_TERMINALS)
+def test_golden_heat_terminal_encoding(d, want):
+    g = network_encodings(catalog_entry("heat", d=d).problem).g
+    assert hashlib.sha256(json.dumps(network_to_dict(g)).encode("utf-8")).hexdigest() == want
+
+
+def test_golden_oracle_reference_with_a_repeated_row():
+    X = np.array([[0.25, -0.5], [0.0, 0.0], [0.25, -0.5]])
+    values = catalog_entry("relu-exact", d=2).reference(0.2, X)
+    assert [float(v).hex() for v in values] == [
+        "0x1.36e0659a582d1p-1", "0x1.af6a03ed2c9c2p-2", "0x1.36e0659a582d1p-1"]
 
 
 # (sweep config, CLI seed, output file, SHA-256 of the file), a row per

@@ -21,8 +21,8 @@ from picardnet import (
     identity_architecture,
     identity_network,
     max_width,
-    network_from_json,
-    network_to_json,
+    network_from_dict,
+    network_to_dict,
     param_count,
     realize,
     sum_architecture,
@@ -101,7 +101,7 @@ def test_every_stored_array_is_read_only(rng, relu_entry):
         sum_networks([1.0, -2.0], [a, b]), extend_depth(a, 5), extend_depth(a, 7),
         identity_network(2, 4), zero_network(2, 3, 4),
         extend_depth(affine_network([[1.0, 2.0]], [0.5]), 4),
-        network_from_json(network_to_json(a)),
+        network_from_dict(json.loads(json.dumps(network_to_dict(a)))),
         compose_chain([identity_network(2, 3), identity_network(2, 4), a]),
         # a correction summand as the builder chains it (Euler part, sub-level
         # network, identity pad, f), and built networks, which share the
@@ -397,8 +397,8 @@ def test_max_width_values():
 
 def test_serialization_round_trip_bit_exact(rng):
     net = random_network(rng, 3, 2, 5, width=6, scale=1e3)
-    text = network_to_json(net)
-    back = network_from_json(text)
+    text = json.dumps(network_to_dict(net))
+    back = network_from_dict(json.loads(text))
     for (w1, b1), (w2, b2) in zip(net.layers, back.layers):
         assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
     # serialized floats use the shortest round-trip decimal form

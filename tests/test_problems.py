@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from picardnet import (
     max_network,
     mlp_estimate,
     network_encodings,
-    problem_catalog,
     pwl_network,
     realize,
     uniform_grid,
 )
 from picardnet.problems import (
+    FACTORIES,
     EncodingError,
     catalog_entry,
     coordinatewise_sum_network,
@@ -29,8 +30,7 @@ SAMPLE = FrozenSample(55)
 
 
 def test_catalog_contains_required_entries():
-    cat = problem_catalog()
-    assert {"ode-exp", "heat", "relu-exact", "bs-like"} <= set(cat)
+    assert {"ode-exp", "heat", "relu-exact", "bs-like"} <= set(FACTORIES)
 
 
 def test_ode_reference_value(ode_entry):
@@ -51,7 +51,7 @@ def test_unknown_problem_rejected():
 
 
 def test_lipschitz_declared_constants(rng):
-    entries = problem_catalog().values()
+    entries = [factory() for factory in FACTORIES.values()]
     pairs_per_problem = 100_000 // len(entries)
     for entry in entries:
         f, c = entry.problem.f, entry.problem.lipschitz_c
@@ -166,6 +166,21 @@ def test_heat_encoding_delta_target_controls_pieces():
     assert architecture(fine.g)[1] > architecture(crude.g)[1]
     with pytest.raises(EncodingError):
         entry.problem.encodings(0.0)  # exact encoding unreachable
+
+
+def test_fine_heat_encoding_measures_its_deviation_in_bounded_memory():
+    # 4,243 pieces per coordinate: the 4,096 probes through the whole
+    # width-8,486 hidden layer would take 278 MB at once
+    problem = catalog_entry("heat", d=2).problem
+    tracemalloc.start()
+    try:
+        fine = network_encodings(problem, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert architecture(fine.g)[1] == 2 * 4243
+    assert 0 < fine.delta <= 1e-6
+    assert peak < 64 * 2**20
 
 
 def test_feynman_kac_fixed_point_closed_forms(rng):
