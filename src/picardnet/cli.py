@@ -1,14 +1,15 @@
 """Batch experiment runner: solve, build-verify and sweep subcommands.
 
-Experiments are driven by a JSON config validated against a published
-schema.  One table, ``READS``, gives the keys each command (each sweep by
-its kind) reads and the value it runs when the config leaves a key out; a
-key the command does not read is rejected.  Outputs are CSV files with '.'
-decimals, LF line endings and 17-significant-digit floats, plus JSON
-summaries, so reruns with the same config and seed are byte-identical.
+Experiments are driven by a JSON config, checked against two tables.
+``READS`` gives the keys each command (each sweep by its kind) reads and
+the value it runs when the config leaves a key out; a key the command does
+not read, or a required key left out, is rejected.  ``TYPES`` gives each
+key's type and bound.  Outputs are CSV files with '.' decimals, LF line
+endings and 17-significant-digit floats, plus JSON summaries, so reruns
+with the same config and seed are byte-identical.
 
-Exit codes: 0 success, 2 config error (including a bad time grid, and
-the cost guard: a config whose predicted estimator work exceeds
+Exit codes: 0 success, 2 config error (including a non-finite number, a
+bad time grid, and the cost guard: a config whose predicted estimator work exceeds
 ``WORK_GUARD`` runs only with --force), 3 resource guard, 4 a check ran
 and failed, 5 internal error (any other exception, such as a non-finite
 simulated state, NumericFailure; the message names the exception type).
@@ -19,11 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .analysis import (
     fullerror_check,
@@ -60,109 +62,9 @@ EXIT_INTERNAL = 5
 SUBSTREAM_PATH_STEPS = 9
 WORK_GUARD = 20_000_000
 
-# The keys each command reads, each sweep counted by its kind, with the value
-# it runs when the config leaves the key out; REQUIRED marks a key with no
-# default.  "dimension": None runs the problem's own d, and "time_grid": {}
-# runs M^M uniform steps.
-REQUIRED = object()
-_SOLVE = {"problem": REQUIRED, "dimension": None, "n": 2, "M": 2, "time_grid": {},
-          "t": 0.0, "probes": []}
-READS = {
-    "solve": _SOLVE,
-    "build-verify": {**_SOLVE, "n": 1, "M": 1, "delta_target": None,
-                     "serialize_network": False},
-    "sweep fullerror": {"problem": REQUIRED, "dimension": None, "sweep": "fullerror",
-                        "level_grid": [[2, 2]], "time_grid": {}, "t": 0.0, "probes": [],
-                        "seeds": 30},
-    "sweep lyapunov": {"problem": REQUIRED, "dimension": None, "sweep": REQUIRED,
-                       "probes": [], "paths": 50_000},
-    "sweep growth": {"problem": REQUIRED, "sweep": REQUIRED, "d_list": [1, 2],
-                     "eps_list": [0.5, 0.25], "recipe": "desk"},
-    "sweep perturbation": {"problem": REQUIRED, "dimension": None, "sweep": REQUIRED,
-                           "paths": 4000},
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["problem"],
-    "properties": {
-        "problem": {"enum": sorted(FACTORIES)},
-        "dimension": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 0},
-        "M": {"type": "integer", "minimum": 1},
-        "level_grid": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "prefixItems": [{"type": "integer", "minimum": 0},
-                                {"type": "integer", "minimum": 1}],
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "time_grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "minProperties": 1,
-            "maxProperties": 1,
-            "properties": {
-                "uniform_steps": {"type": "integer", "minimum": 1},
-                "points": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "t": {"type": "number", "minimum": 0},
-        "probes": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "number"}},
-        },
-        "seeds": {"type": "integer", "minimum": 1},
-        "delta_target": {"type": ["number", "null"], "minimum": 0},
-        "sweep": {
-            "type": "string",
-            "enum": ["fullerror", "growth", "lyapunov", "perturbation"],
-        },
-        "d_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "eps_list": {"type": "array", "items": {"type": "number"}},
-        "recipe": {"type": "string", "enum": ["paper", "desk"]},
-        "paths": {"type": "integer", "minimum": 100},
-        "serialize_network": {"type": "boolean"},
-    },
-}
-
 
 class ConfigError(ValueError):
     pass
-
-
-def _resolve(cfg, command: str) -> dict:
-    """Check a config against the schema and the command's row of READS, and
-    fill in the row's value of each key the config leaves out."""
-    errors = sorted(("/".join(map(str, e.absolute_path)), e.message)
-                    for e in Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg))
-    if errors:
-        raise ConfigError("; ".join(f"{at}: {msg}" if at else msg for at, msg in errors))
-    name = f"sweep {cfg.get('sweep', 'fullerror')}" if command == "sweep" else command
-    unread = sorted(cfg.keys() - READS[name].keys())
-    if unread:
-        raise ConfigError(f"{name} does not read {', '.join(unread)}")
-    return {**READS[name], **cfg}
-
-
-def load_config(path: str, command: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return _resolve(cfg, command)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -171,12 +73,11 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
 
 
 def _write_check(out_dir: Path, header: list[str], report) -> int:
-    """Write a check's rows to <check>.csv and its summary to
-    <check>_summary.json; the exit code follows its verdict."""
+    """Write <check>.csv and <check>_summary.json; the exit code follows the verdict."""
     write_csv(out_dir / f"{report.check}.csv", header,
               [[r[k] for k in header] for r in report.rows])
     (out_dir / f"{report.check}_summary.json").write_text(json.dumps(report.summary()))
@@ -254,13 +155,11 @@ def _guard_work(cfg: dict, command: str) -> None:
 
 
 def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
-    entry = _entry(cfg)
-    problem = entry.problem
-    n, M = cfg["n"], cfg["M"]
-    grid = _time_grid(cfg, problem.horizon, M)
+    problem = _entry(cfg).problem
+    grid = _time_grid(cfg, problem.horizon, cfg["M"])
     t = _start_time(cfg, problem.horizon)
     probes = _probes(cfg, problem.d)
-    config = MlpConfig(n, M, grid, FrozenSample(seed))
+    config = MlpConfig(cfg["n"], cfg["M"], grid, FrozenSample(seed))
     estimates = mlp_estimate(problem, config, ROOT_PATH, t, np.reshape(probes, (-1, problem.d)))
     rows = [[t, *probe.tolist(), u, seed] for probe, u in zip(probes, estimates.tolist())]
     header = ["t", *[f"x{i}" for i in range(problem.d)], "estimate", "seed"]
@@ -269,16 +168,14 @@ def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
 
 
 def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
-    entry = _entry(cfg)
-    problem = entry.problem
-    n, M = cfg["n"], cfg["M"]
-    grid = _time_grid(cfg, problem.horizon, M)
+    problem = _entry(cfg).problem
+    grid = _time_grid(cfg, problem.horizon, cfg["M"])
     t = _start_time(cfg, problem.horizon)
     try:
         networks = network_encodings(problem, cfg["delta_target"])
     except EncodingError as exc:
         raise ConfigError(f"delta_target = {cfg['delta_target']}: {exc}") from exc
-    config = MlpConfig(n, M, grid, FrozenSample(seed))
+    config = MlpConfig(cfg["n"], cfg["M"], grid, FrozenSample(seed))
     try:
         built = build_mlp_network(networks, config, ROOT_PATH, t)
     except BuildSizeError as exc:
@@ -297,7 +194,7 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
     pred = built.prediction
     arch = architecture(built.network)
     report = {
-        "problem": problem.name, "n": n, "M": M, "seed": seed, "t": t,
+        "problem": problem.name, "n": config.n, "M": config.M, "seed": seed, "t": t,
         "max_relative_deviation": worst,
         "depth": {"actual": len(arch), "predicted": pred.depth},
         "width": {"actual": max_width(arch), "bound": pred.width_bound},
@@ -331,8 +228,7 @@ def _sweep_fullerror(cfg: dict, seed: int, out_dir: Path) -> int:
 
 
 def _sweep_lyapunov(cfg: dict, seed: int, out_dir: Path) -> int:
-    entry = _entry(cfg)
-    problem = entry.problem
+    problem = _entry(cfg).problem
     c, c_phi = suggest_lyapunov_constants(problem)
     probes = _probes(cfg, problem.d) or [np.zeros(problem.d)]
     trips = [(0.0, problem.horizon, x) for x in probes]
@@ -344,9 +240,8 @@ def _sweep_lyapunov(cfg: dict, seed: int, out_dir: Path) -> int:
 
 def _sweep_growth(cfg: dict, seed: int, out_dir: Path) -> int:
     name = cfg["problem"]
-    recipe = paper_growth_recipe() if cfg["recipe"] == "paper" else desk_growth_recipe()
     report = growth_fit(lambda d: catalog_entry(name, d=d), cfg["d_list"], cfg["eps_list"],
-                        recipe, seed=seed)
+                        RECIPES[cfg["recipe"]](), seed=seed)
     header = ["d", "eps", "n", "M", "steps", "delta", "params", "param_bound",
               "width", "width_bound", "depth", "pass"]
     write_csv(out_dir / "growth.csv", header,
@@ -371,14 +266,123 @@ def _sweep_perturbation(cfg: dict, seed: int, out_dir: Path) -> int:
     return _write_check(out_dir, header, report)
 
 
+RECIPES = {"paper": paper_growth_recipe, "desk": desk_growth_recipe}
+SWEEPS = {"fullerror": _sweep_fullerror, "lyapunov": _sweep_lyapunov, "growth": _sweep_growth,
+          "perturbation": _sweep_perturbation}
+
+
 def cmd_sweep(cfg: dict, seed: int, out_dir: Path) -> int:
-    handler = {
-        "fullerror": _sweep_fullerror,
-        "lyapunov": _sweep_lyapunov,
-        "growth": _sweep_growth,
-        "perturbation": _sweep_perturbation,
-    }[cfg["sweep"]]
-    return handler(cfg, seed, out_dir)
+    return SWEEPS[cfg["sweep"]](cfg, seed, out_dir)
+
+
+# The keys each command reads, each sweep counted by its kind, with the value
+# it runs when the config leaves the key out; REQUIRED marks a key with no
+# default.  "dimension": None runs the problem's own d, and "time_grid": {}
+# runs M^M uniform steps.
+REQUIRED = object()
+_SOLVE = {"problem": REQUIRED, "dimension": None, "n": 2, "M": 2, "time_grid": {},
+          "t": 0.0, "probes": []}
+READS = {
+    "solve": _SOLVE,
+    "build-verify": {**_SOLVE, "n": 1, "M": 1, "delta_target": None,
+                     "serialize_network": False},
+    "sweep fullerror": {"problem": REQUIRED, "dimension": None, "sweep": "fullerror",
+                        "level_grid": [[2, 2]], "time_grid": {}, "t": 0.0, "probes": [],
+                        "seeds": 30},
+    "sweep lyapunov": {"problem": REQUIRED, "dimension": None, "sweep": REQUIRED,
+                       "probes": [], "paths": 50_000},
+    "sweep growth": {"problem": REQUIRED, "sweep": REQUIRED, "d_list": [1, 2],
+                     "eps_list": [0.5, 0.25], "recipe": "desk"},
+    "sweep perturbation": {"problem": REQUIRED, "dimension": None, "sweep": REQUIRED,
+                           "paths": 4000},
+}
+
+# Each key's type and bound.  Num(int, k): an integer >= k.  Num(float, k): an int
+# or a float >= k, or > k if strict (null too if kind is float | None); never a bool.
+# A set: one of its values, of that value's own type.  [spec]: a list.  [spec, ...]:
+# a non-empty list.  A tuple: a list of exactly its specs.  A dict: an object with one of its keys.
+Num = namedtuple("Num", "kind least strict", defaults=(None, False))
+TYPES = {
+    "problem": set(FACTORIES),
+    "dimension": Num(int, 1),
+    "n": Num(int, 0),
+    "M": Num(int, 1),
+    "level_grid": [(Num(int, 0), Num(int, 1)), ...],
+    "time_grid": {"uniform_steps": Num(int, 1), "points": [Num(float)]},
+    "t": Num(float),
+    "probes": [[Num(float)]],
+    "seeds": Num(int, 1),
+    "delta_target": Num(float | None, 0),
+    "sweep": set(SWEEPS),
+    "d_list": [Num(int, 1), ...],
+    "eps_list": [Num(float, 0, strict=True), ...],
+    "recipe": set(RECIPES),
+    "paths": Num(int, 100),
+    "serialize_network": {False, True},
+}
+
+
+def _check(at: str, spec, value) -> None:
+    """Refuse, naming its key path ``at``, a value that does not meet spec."""
+    def refuse(why: str):
+        raise ConfigError(f"{at}: {value!r} {why}")
+    if isinstance(spec, Num):
+        if value is None and spec.kind == float | None:
+            return
+        if type(value) not in ((int,) if spec.kind is int else (int, float)):
+            refuse(f"is not of type {'integer' if spec.kind is int else 'number'!r}")
+        if spec.least is not None and (value <= spec.least if spec.strict else value < spec.least):
+            refuse(f"is less than {'or equal to ' * spec.strict}the minimum of {spec.least!r}")
+    elif isinstance(spec, set):
+        if not any(type(value) is type(item) and value == item for item in spec):
+            refuse(f"is not one of {sorted(spec)}")
+    elif isinstance(spec, dict):
+        if not (isinstance(value, dict) and len(value) == 1 and value.keys() <= spec.keys()):
+            refuse(f"is not an object with one key of {sorted(spec)}")
+        [(key, item)] = value.items()
+        _check(f"{at}/{key}", spec[key], item)
+    elif not isinstance(value, list):
+        refuse("is not of type 'array'")
+    elif isinstance(spec, tuple) and len(value) != len(spec):
+        refuse(f"is not a list of {len(spec)} items")
+    elif not value and spec[-1] is ...:
+        refuse("should be non-empty")
+    else:
+        for i, item in enumerate(value):
+            _check(f"{at}/{i}", spec[i] if isinstance(spec, tuple) else spec[0], item)
+
+
+def _resolve(cfg, command: str) -> dict:
+    """Check a config against READS and TYPES, to its first fault, and fill in defaults."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("the config is not a JSON object")
+    if command == "sweep":
+        _check("sweep", TYPES["sweep"], cfg.get("sweep", "fullerror"))
+    name = f"sweep {cfg.get('sweep', 'fullerror')}" if command == "sweep" else command
+    unread = sorted(cfg.keys() - READS[name].keys())
+    if unread:
+        raise ConfigError(f"{name} does not read {', '.join(unread)}")
+    missing = [key for key, value in READS[name].items() if value is REQUIRED and key not in cfg]
+    if missing:
+        raise ConfigError(f"{name} needs {', '.join(missing)}")
+    for key, value in cfg.items():
+        _check(key, TYPES[key], value)
+    return {**READS[name], **cfg}
+
+
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):  # NaN, Infinity, or past the float range
+        raise ConfigError(f"{text} is not a finite number")
+    return value
+
+
+def load_config(path: str, command: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _resolve(cfg, command)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "problems":
-        for name in sorted(FACTORIES):
-            print(name)
+        print("\n".join(sorted(FACTORIES)))
         return EXIT_OK
     if not args.config:
         print("error: --config is required", file=sys.stderr)
@@ -408,12 +411,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         if not args.force:
             _guard_work(cfg, args.command)
-        out_dir = Path(args.out)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.seed, out_dir)
-        if args.command == "build-verify":
-            return cmd_build_verify(cfg, args.seed, out_dir)
-        return cmd_sweep(cfg, args.seed, out_dir)
+        handlers = {"solve": cmd_solve, "build-verify": cmd_build_verify, "sweep": cmd_sweep}
+        return handlers[args.command](cfg, args.seed, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

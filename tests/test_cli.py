@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -492,3 +495,115 @@ def test_benchmark_and_golden_configs_are_accepted(monkeypatch):
     assert {command for command, _ in runs} == {"solve", "build-verify", "sweep"}
     for command, config in runs:
         cli._resolve(config, command)
+
+
+# (command, config, the key path its message must name): configs refused for a
+# value of the wrong type or out of bounds, a missing problem or a non-object
+ODE = {"problem": "ode-exp"}
+REFUSED = [
+    ("solve", {**ODE, "dimension": "1"}, "dimension"),
+    ("solve", {**ODE, "dimension": 1.5}, "dimension"),
+    ("solve", {**ODE, "dimension": 0}, "dimension"),
+    ("solve", {**ODE, "n": "1"}, "n"),
+    ("solve", {**ODE, "n": -1}, "n"),
+    ("solve", {**ODE, "n": True}, "n"),
+    ("solve", {**ODE, "M": [1]}, "M"),
+    ("solve", {**ODE, "M": 0}, "M"),
+    ("solve", {**ODE, "time_grid": [1]}, "time_grid"),
+    ("solve", {**ODE, "time_grid": {}}, "time_grid"),
+    ("solve", {**ODE, "time_grid": {"uniform_steps": 2, "points": [0.0, 1.0]}}, "time_grid"),
+    ("solve", {**ODE, "time_grid": {"steps": 2}}, "time_grid"),
+    ("solve", {**ODE, "time_grid": {"uniform_steps": "2"}}, "time_grid/uniform_steps"),
+    ("solve", {**ODE, "time_grid": {"uniform_steps": 0}}, "time_grid/uniform_steps"),
+    ("solve", {**ODE, "time_grid": {"points": 1.0}}, "time_grid/points"),
+    ("solve", {**ODE, "time_grid": {"points": [0.0, "1"]}}, "time_grid/points/1"),
+    ("solve", {**ODE, "t": "0"}, "t"),
+    ("solve", {**ODE, "t": -0.5}, "t"),
+    ("solve", {**ODE, "probes": [0.0]}, "probes/0"),
+    ("solve", {**ODE, "probes": [[True]]}, "probes/0/0"),
+    ("build-verify", {**ODE, "delta_target": "0"}, "delta_target"),
+    ("build-verify", {**ODE, "delta_target": -1}, "delta_target"),
+    ("build-verify", {**ODE, "serialize_network": 1}, "serialize_network"),
+    ("build-verify", {**ODE, "serialize_network": "true"}, "serialize_network"),
+    ("sweep", {**ODE, "level_grid": 1}, "level_grid"),
+    ("sweep", {**ODE, "level_grid": [1]}, "level_grid/0"),
+    ("sweep", {**ODE, "level_grid": [[1, 1], [1, 1, 1]]}, "level_grid/1"),
+    ("sweep", {**ODE, "level_grid": [[-1, 1]]}, "level_grid/0/0"),
+    ("sweep", {**ODE, "level_grid": [[1, 0]]}, "level_grid/0/1"),
+    ("sweep", {**ODE, "level_grid": [[1, 1.5]]}, "level_grid/0/1"),
+    ("sweep", {**ODE, "seeds": "2"}, "seeds"),
+    ("sweep", {**ODE, "seeds": 0}, "seeds"),
+    ("sweep", {**ODE, "sweep": "growth", "d_list": 1}, "d_list"),
+    ("sweep", {**ODE, "sweep": "growth", "d_list": [1, 0]}, "d_list/1"),
+    ("sweep", {**ODE, "sweep": "growth", "eps_list": 0.5}, "eps_list"),
+    ("sweep", {**ODE, "sweep": "growth", "eps_list": ["0.5"]}, "eps_list/0"),
+    ("sweep", {**ODE, "sweep": "growth", "recipe": 1}, "recipe"),
+    ("sweep", {**ODE, "sweep": "growth", "recipe": "fast"}, "recipe"),
+    ("sweep", {**ODE, "sweep": "lyapunov", "paths": 1000.5}, "paths"),
+    ("sweep", {**ODE, "sweep": "perturbation", "paths": 99}, "paths"),
+    ("solve", {"problem": 1}, "problem"),
+    ("solve", {"problem": "nope"}, "problem"),
+    ("sweep", {**ODE, "sweep": "bogus"}, "sweep"),
+    ("sweep", {**ODE, "sweep": ["growth"]}, "sweep"),
+    ("solve", {"n": 1}, "problem"),
+    ("sweep", {"sweep": "growth"}, "problem"),
+    ("solve", [ODE], "object"),
+    ("build-verify", None, "object"),
+    ("sweep", "fullerror", "object"),
+]
+
+
+@pytest.mark.parametrize("command, payload, key", REFUSED)
+def test_a_config_of_the_wrong_type_or_bound_is_config_error(tmp_path, capsys, command,
+                                                              payload, key):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "does not read" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    # integer-valued floats are no integers
+    ("solve", {"n": 2.0}, "n"),
+    ("sweep", {"sweep": "perturbation", "paths": 100.0}, "paths"),
+    ("solve", {"time_grid": {"uniform_steps": 1.0}}, "time_grid/uniform_steps"),
+    ("sweep", {"sweep": "fullerror", "level_grid": [[1.0, 1]]}, "level_grid/0/0"),
+    # a sweep must measure something
+    ("sweep", {"sweep": "growth", "eps_list": [0.0]}, "eps_list/0"),
+    ("sweep", {"sweep": "growth", "eps_list": [0.5, -0.5]}, "eps_list/1"),
+    ("sweep", {"sweep": "growth", "eps_list": []}, "eps_list"),
+    ("sweep", {"sweep": "growth", "d_list": []}, "d_list"),
+    ("sweep", {"sweep": "fullerror", "level_grid": []}, "level_grid"),
+])
+def test_a_value_json_schema_let_through_is_config_error(tmp_path, capsys, command, payload,
+                                                          key):
+    cfg = write_config(tmp_path, "c.json", {"problem": "heat", **payload})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, problem, text", [
+    ("solve", "ode-exp", '"time_grid": {"points": [0.0, NaN, 1.0]}'),
+    ("solve", "ode-exp", '"probes": [[NaN]]'),
+    ("solve", "ode-exp", '"probes": [[Infinity]]'),
+    ("build-verify", "heat", '"delta_target": NaN'),
+    ("build-verify", "heat", '"delta_target": Infinity'),
+    ("solve", "ode-exp", '"t": -Infinity'),
+    ("solve", "ode-exp", '"probes": [[1e400]]'),  # a literal that overflows to inf
+])
+def test_a_non_finite_number_is_config_error(tmp_path, capsys, command, problem, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"problem": "%s", "n": 1, "M": 1, %s}' % (problem, text))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_importing_the_cli_does_not_import_jsonschema():
+    code = "import sys, picardnet.cli; print('jsonschema' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "False\n"
