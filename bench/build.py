@@ -1,23 +1,32 @@
-"""Network build benchmark: wall time and peak memory of one MLP network build.
+"""Network build benchmark: wall time and peak memory of MLP network builds.
 
-Each case is relu-exact, d = 2, on a uniform grid of K = 8 Euler steps,
-seed 0, t = 0, at n = M = 2 and n = M = 3.  The child makes the catalog
-encodings, then times ``builder.build_mlp_network`` alone: one build at
-n = M = 3, and 24 builds in one timed run at n = M = 2, whose single build
-(about 10 ms) is too short to time on its own.  The time is per build; the
-peak memory holds every network the run built.  The output is the SHA-256
-of the raw bytes of every layer, so runs of different source trees can be
-shown to build the same network.
+Each case is relu-exact, d = 2, on a uniform grid of K = 8 Euler steps.
+
+- ``n=M=2`` and ``n=M=3``: seed 0, t = 0.  The child makes the catalog
+  encodings, then times ``builder.build_mlp_network`` alone: one build at
+  n = M = 3, and 24 builds in one timed run at n = M = 2, whose single
+  build (about 10 ms) is too short to time on its own.  The time is per
+  build; the peak memory holds every network the run built.  The output is
+  the SHA-256 of the raw bytes of every layer, so runs of different source
+  trees can be shown to build the same network.
+- ``build-verify n=M=3``: one in-process ``picardnet build-verify`` on the
+  config and CLI seed that perfbench's build-verify workload derives from
+  its seed 0 (one probe).  The output is the SHA-256 of ``build_verify.json``.
 
     python3 bench/build.py parent=PARENT/src change=src
 
-writes BENCH_build.json in the current directory: 11 builds per case and
+writes BENCH_build.json in the current directory: 11 runs per case and
 tree, by the method in ``harness.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
+import json
+import os
+import tempfile
 
 import harness
 
@@ -43,8 +52,41 @@ def build(n: int):
                                      for part in layer))
 
 
-CASES = {f"relu-exact d=2 n=M={n} K={STEPS}":
-         harness.Case(functools.partial(build, n), scale=1 / LOOPS[n]) for n in LOOPS}
+def build_verify():
+    """Set up one n = M = 3 ``picardnet build-verify``; its files live until the child exits."""
+    import numpy as np
+
+    from picardnet import cli
+
+    rng = np.random.default_rng(0)  # perfbench's BuildVerify.configs at its seed 0
+    probe = rng.uniform(-1.0, 1.0, size=2).tolist()
+    seed = int(rng.integers(0, 2**32))
+    config = {"problem": "relu-exact", "dimension": 2, "time_grid": {"uniform_steps": STEPS},
+              "n": 3, "M": 3, "probes": [probe]}
+    tmp = tempfile.TemporaryDirectory()
+    path = os.path.join(tmp.name, "config.json")
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(config, fh)
+    argv = ["build-verify", "--config", path, "--seed", str(seed), "--out", tmp.name]
+
+    def call() -> int:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+
+    def digest(code: int) -> str:
+        if code != cli.EXIT_OK:
+            raise RuntimeError(f"build-verify exited {code}")
+        with open(os.path.join(tmp.name, "build_verify.json"), "rb") as fh:
+            return harness.sha256([fh.read()])
+
+    return call, digest
+
+
+CASES = {
+    **{f"relu-exact d=2 n=M={n} K={STEPS}":
+       harness.Case(functools.partial(build, n), scale=1 / LOOPS[n]) for n in LOOPS},
+    f"build-verify relu-exact d=2 n=M=3 K={STEPS}": harness.Case(build_verify),
+}
 
 if __name__ == "__main__":
     raise SystemExit(harness.main(__file__, "BENCH_build.json", CASES))

@@ -27,8 +27,10 @@ from .builder import (
     PARAM_GUARD,
     ProblemNetworks,
     SigmaNetworkFamily,
+    bracket_template,
     build_euler_network,
     build_mlp_network,
+    build_mlp_root,
     euler_architecture,
     mlp_depth_identity,
     predict_architecture,
@@ -60,6 +62,8 @@ from .nets import (
     compose,
     compose_architecture,
     compose_chain,
+    compose_copies,
+    copies_architecture,
     extend_depth,
     identity_architecture,
     identity_network,
@@ -68,6 +72,7 @@ from .nets import (
     network_to_dict,
     param_count,
     realize,
+    realize_sum,
     sum_architecture,
     sum_networks,
     zero_network,

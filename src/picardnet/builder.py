@@ -8,6 +8,12 @@ agreement with the simulator.  The Picard network walks the index tree
 that ``mlp`` owns (``picard_branches`` for the keys, ``picard_node`` for
 the shape), so it consumes exactly the estimator's substreams.
 
+Every Euler network of a build copies one step bracket, made once by
+``bracket_template``.  ``build_mlp_root`` stops short of the root's sum:
+it returns the summands and coefficients, which ``nets.realize_sum``
+realizes without storing and ``build_mlp_network`` sums into the stored
+network.
+
 Architecture accounting is exact: ``predict_architecture`` computes the
 resulting width vector symbolically with the same composition/sum/padding
 algebra the builders use, so built shape equals predicted shape as an
@@ -17,7 +23,7 @@ integer identity.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,6 +39,8 @@ from .nets import (
     compose,
     compose_architecture,
     compose_chain,
+    compose_copies,
+    copies_architecture,
     extend_architecture,
     extend_depth,
     identity_architecture,
@@ -69,16 +77,22 @@ class BuildSizeError(RuntimeError):
 class SigmaNetworkFamily:
     """Direction-indexed diffusion networks x -> sigma(x) v.
 
-    Every produced network must share one reference architecture, so the
-    shapes of everything built on top are direction-independent.
+    ``affine(v)`` gives the pair (W(v), b(v)) with sigma(x) v = W(v) x + b(v);
+    the direction's network is its ``affine_network``, so every direction
+    shares one reference architecture, read off the zero direction, and
+    only the network's first layer depends on v.
     """
 
     input_dim: int
-    reference_architecture: Architecture
-    factory: Callable[[np.ndarray], ReluNetwork]
+    affine: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    reference_architecture: Architecture = field(init=False)
+
+    def __post_init__(self) -> None:
+        ref = affine_network(*self.affine(np.zeros(self.input_dim)))
+        object.__setattr__(self, "reference_architecture", architecture(ref))
 
     def __call__(self, v) -> ReluNetwork:
-        net = self.factory(np.asarray(v, dtype=np.float64))
+        net = affine_network(*self.affine(np.asarray(v, dtype=np.float64)))
         if architecture(net) != self.reference_architecture:
             raise NetworkError(
                 f"sigma family produced architecture {architecture(net)}, "
@@ -90,10 +104,7 @@ class SigmaNetworkFamily:
 def sigma_family_constant(d: int, matrix) -> SigmaNetworkFamily:
     """Family for constant diffusion sigma(x) = S: realizes x -> S v."""
     s = np.asarray(matrix, dtype=np.float64).reshape(d, d)
-    ref = affine_network(np.zeros((d, d)), s @ np.zeros(d))
-    return SigmaNetworkFamily(
-        d, architecture(ref), lambda v: affine_network(np.zeros((d, d)), s @ v)
-    )
+    return SigmaNetworkFamily(d, lambda v: (np.zeros((d, d)), s @ v))
 
 
 def sigma_family_linear(d: int, coefficient_maps) -> SigmaNetworkFamily:
@@ -105,13 +116,7 @@ def sigma_family_linear(d: int, coefficient_maps) -> SigmaNetworkFamily:
     mats = [np.asarray(c, dtype=np.float64).reshape(d, d) for c in coefficient_maps]
     if len(mats) != d:
         raise NetworkError("need one coefficient matrix per coordinate")
-
-    def factory(v: np.ndarray) -> ReluNetwork:
-        w = np.column_stack([c @ v for c in mats])
-        return affine_network(w, np.zeros(d))
-
-    ref = factory(np.zeros(d))
-    return SigmaNetworkFamily(d, architecture(ref), factory)
+    return SigmaNetworkFamily(d, lambda v: (np.column_stack([c @ v for c in mats]), np.zeros(d)))
 
 
 @dataclass(frozen=True)
@@ -135,17 +140,71 @@ def euler_architecture(mu_arch: Architecture, sigma_arch: Architecture,
     """Architecture of ``steps`` composed step brackets: an identity tower
     plus the drift and diffusion branches, padded to one depth."""
     depth = max(len(mu_arch), len(sigma_arch))
-    b = sum_architecture([identity_architecture(d, depth),
-                          extend_architecture(mu_arch, depth),
-                          extend_architecture(sigma_arch, depth)])
-    # closed form of folding compose_architecture(b, ...) over the steps:
-    # every seam merges b's output and input layers into one glue layer
-    return b[:-1] + ((b[-1] + b[0],) + b[1:-1]) * (steps - 1) + (b[-1],)
+    return copies_architecture(sum_architecture([identity_architecture(d, depth),
+                                                 extend_architecture(mu_arch, depth),
+                                                 extend_architecture(sigma_arch, depth)]),
+                               steps)
+
+
+@dataclass(frozen=True)
+class BracketTemplate:
+    """The Euler step bracket x -> x + dt * mu(x) + sigma(x) dW, and where a
+    step's (dt, dW) enter its layers.
+
+    ``bracket`` is the dead step's (dt = 0, dW = 0): the ``sum_networks``
+    of an identity tower, the drift and the zero direction's diffusion,
+    each padded to one depth, with coefficients (1, dt, 1).  A live step
+    differs from it only in the diffusion rows ``sigma_rows`` of its first
+    layer, the drift columns ``drift_cols`` of its last weight, which hold
+    dt * ``drift_weight``, and its last bias, (``base_bias`` + dt *
+    ``drift_bias``) + ``sigma_bias`` in the order ``sum_networks`` adds it
+    up, ``base_bias`` being 0 + the identity's bias.
+    """
+
+    sigma: SigmaNetworkFamily
+    bracket: ReluNetwork
+    sigma_rows: slice
+    drift_cols: slice
+    drift_weight: np.ndarray
+    drift_bias: np.ndarray
+    base_bias: np.ndarray
+    sigma_bias: np.ndarray
+
+    def step(self, dt: float, dw: np.ndarray, first_w, first_b, last_w, last_b) -> None:
+        """Write the layers that the live step (dt, dw) changes into copies
+        of the bracket's first and last layer."""
+        w, b = self.sigma.affine(dw)
+        first_w[self.sigma_rows] = np.concatenate([w, -w])
+        first_b[self.sigma_rows] = np.concatenate([b, -b])
+        last_w[:, self.drift_cols] = dt * self.drift_weight
+        last_b[...] = self.base_bias + dt * self.drift_bias + self.sigma_bias
+
+
+def bracket_template(mu_net: ReluNetwork, sigma_family: SigmaNetworkFamily) -> BracketTemplate:
+    """The step bracket of the Euler networks of one drift and diffusion."""
+    d = sigma_family.input_dim
+    if mu_net.input_dim != d or mu_net.output_dim != d:
+        raise NetworkError("drift network must map R^d -> R^d")
+    depth = max(mu_net.depth, len(sigma_family.reference_architecture))
+    parts = [identity_network(d, depth), extend_depth(mu_net, depth),
+             extend_depth(sigma_family(np.zeros(d)), depth)]
+    identity, mu_ext, sigma_ext = parts
+    rows = identity.widths[1] + mu_ext.widths[1]
+    cols = identity.widths[-2]
+    return BracketTemplate(
+        sigma=sigma_family,
+        bracket=sum_networks([1.0, 0.0, 1.0], parts),
+        sigma_rows=slice(rows, rows + sigma_ext.widths[1]),
+        drift_cols=slice(cols, cols + mu_ext.widths[-2]),
+        drift_weight=mu_ext.layers[-1][0],
+        drift_bias=mu_ext.layers[-1][1],
+        base_bias=np.zeros(d) + 1.0 * identity.layers[-1][1],
+        sigma_bias=sigma_ext.layers[-1][1],
+    )
 
 
 def build_euler_network(
-    mu_net: ReluNetwork,
-    sigma_family: SigmaNetworkFamily,
+    template: BracketTemplate,
     grid: TimeGrid,
     sample: FrozenSample,
     path: IndexPath,
@@ -159,18 +218,14 @@ def build_euler_network(
     x -> x + dt * mu(x) + sigma(x) dW.  Each of the K grid intervals
     contributes one step regardless of (t, s): intervals outside [t, s]
     get a zero increment, so the architecture is (t, s, theta)-invariant
-    with depth K * (max coefficient depth - 1) + 1.  Those dead intervals
-    (dt = 0, dW = 0) all share one step bracket, built at most once per
-    call, and the K brackets are composed in one ``compose_chain``.
+    with depth K * (max coefficient depth - 1) + 1.  Every step is a copy
+    of the template's bracket, a dead interval (dt = 0, dW = 0) the bracket
+    itself and a live one with its own first and last layer, and the K
+    copies are chained by one ``compose_copies``.
     """
     if not t <= s <= grid.horizon:
         raise NetworkError(f"need t <= s <= horizon, got t={t}, s={s}")
-    d = sigma_family.input_dim
-    if mu_net.input_dim != d or mu_net.output_dim != d:
-        raise NetworkError("drift network must map R^d -> R^d")
-    depth = max(mu_net.depth, len(sigma_family.reference_architecture))
-    mu_ext = extend_depth(mu_net, depth)
-
+    d = template.sigma.input_dim
     breakpoints = effective_breakpoints(grid, t, s)
     noise = brownian_path(sample, path, d, breakpoints)
     w_at = {breakpoints[0]: np.zeros(d)}
@@ -179,25 +234,17 @@ def build_euler_network(
         acc = acc + noise[i]
         w_at[breakpoints[i + 1]] = acc
 
-    identity = identity_network(d, depth)
-
-    def bracket(dt: float, dw: np.ndarray) -> ReluNetwork:
-        return sum_networks([1.0, dt, 1.0],
-                            [identity, mu_ext, extend_depth(sigma_family(dw), depth)])
-
-    dead = None
-    steps = []
+    steps = len(grid.points) - 1
+    ends = template.bracket.layers[0] + template.bracket.layers[-1]
+    first_w, first_b, last_w, last_b = (np.repeat(a[None], steps, axis=0) for a in ends)
     for k in range(1, len(grid.points)):
         lo = max(grid.points[k - 1], t)
         hi = min(max(s, lo), max(grid.points[k], t))
         dt = hi - lo
         if dt > 0.0:
-            steps.append(bracket(dt, w_at[hi] - w_at[lo]))
-        else:
-            if dead is None:
-                dead = bracket(dt, np.zeros(d))
-            steps.append(dead)
-    return compose_chain(steps)
+            template.step(dt, w_at[hi] - w_at[lo], first_w[k - 1], first_b[k - 1],
+                          last_w[k - 1], last_b[k - 1])
+    return compose_copies(template.bracket, (first_w, first_b), (last_w, last_b))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +344,17 @@ def predict_architecture(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class MlpRoot:
+    """The root node of a built network: its summands and their coefficients,
+    the randomness provenance and the predicted shape of their sum."""
+
+    coefficients: list[float]
+    summands: list[ReluNetwork]
+    provenance: dict
+    prediction: ArchitecturePrediction
+
+
+@dataclass(frozen=True)
 class BuiltMlpNetwork:
     """A built network, its randomness provenance and its predicted shape."""
 
@@ -305,20 +363,23 @@ class BuiltMlpNetwork:
     prediction: ArchitecturePrediction
 
 
-def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
-                      t: float) -> BuiltMlpNetwork:
-    """Construct the level-n network whose realization equals the frozen
-    multilevel Picard estimate at every x.
+def build_mlp_root(networks: ProblemNetworks, config, path: IndexPath, t: float) -> MlpRoot:
+    """Construct the root node of the level-n network whose realization
+    equals the frozen multilevel Picard estimate at every x: the network is
+    ``sum_networks(root.coefficients, root.summands)``, and
+    ``nets.realize_sum`` realizes it without storing it.
 
     Follows the inductive assembly: terminal g-parts and correction
     f-parts are each composed with an Euler network re-deriving the same
     draws the estimator consumed, padded by identity towers (below f, above
     g) onto the depth identity of their level, and merged by one parallel
-    sum with coefficients 1/M^n and +/-(T-t)/M^(n-l).  Each correction
-    summand is assembled as one ``compose_chain``, and the zero network,
-    the padded g and the identity pads are built once per build and shared.  Builds whose
-    predicted dense parameter count exceeds the guard are rejected up front
-    with a size report.
+    sum with coefficients 1/M^n and +/-(T-t)/M^(n-l); at level 0 the one
+    summand is the zero network.  Each correction summand is assembled as
+    one ``compose_chain``; the Euler step bracket, the zero network, the
+    padded g and the identity pads are built once per build and shared.
+    Builds whose predicted dense parameter count exceeds the guard are
+    rejected up front with a size report, and the summands' summed
+    architecture must equal the prediction.
     """
     n, M = config.n, config.M
     grid: TimeGrid = config.grid
@@ -343,10 +404,10 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
 
     y_depth = len(euler_architecture(mu_arch, sigma_arch, d, grid.steps))
     f_depth, g_depth = len(f_arch), len(g_arch)
+    template = bracket_template(networks.mu, networks.sigma)
 
     def euler_net(branch: IndexPath, start: float, stop: float) -> ReluNetwork:
-        return build_euler_network(networks.mu, networks.sigma, grid, sample,
-                                   branch, start, stop)
+        return build_euler_network(template, grid, sample, branch, start, stop)
 
     # networks that depend only on a depth are immutable: one of each per build
     @functools.cache
@@ -373,17 +434,19 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
         level-n correction over a level-l sub has gap
         (n - l - 1)(f_depth + y_depth - 2), and every depth is at least 2,
         so the gap is never 1.  A gap of 1 would leave this summand one
-        layer short, and the level's sum_networks would raise NetworkError.
+        layer short, and its level's sum would raise NetworkError.
         """
         gap = depth - f_depth + 1 - (ynet.depth + sub.depth - 1)
         if gap >= 2:
             return compose_chain([ynet, sub, pad(gap + 1), networks.f])
         return compose_chain([ynet, sub, networks.f])
 
-    def build_level(level: int, branch: IndexPath, start: float) -> ReluNetwork:
+    def level_terms(level: int, branch: IndexPath,
+                    start: float) -> tuple[list[float], list[ReluNetwork]]:
+        """The coefficients and summands of the level-``level`` node at ``branch``."""
         depth, shared = level_parts(level)
         if level == 0:
-            return shared
+            return [1.0], [shared]
         terminal, groups = picard_branches(branch, level, M)
         parts = [compose(shared, euler_net(key, start, T)) for key in terminal]
         coefs = [1.0 / len(terminal)] * len(terminal)
@@ -395,13 +458,18 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
                 for sign, sub, sub_key in subs:
                     parts.append(correction(depth, ynet, build_level(sub, sub_key, ts)))
                     coefs.append(sign * weight)
-        return sum_networks(coefs, parts)
+        return coefs, parts
 
-    net = build_level(n, tuple(path), float(t))
-    built_arch = architecture(net)
-    if built_arch != prediction.architecture:
+    def build_level(level: int, branch: IndexPath, start: float) -> ReluNetwork:
+        if level == 0:
+            return level_parts(0)[1]
+        return sum_networks(*level_terms(level, branch, start))
+
+    coefs, parts = level_terms(n, tuple(path), float(t))
+    summed = sum_architecture([part.widths for part in parts])
+    if summed != prediction.architecture:
         raise NetworkError(
-            f"built architecture {built_arch} diverged from prediction {prediction.architecture}")
+            f"built architecture {summed} diverged from prediction {prediction.architecture}")
     provenance = {
         "theta": [int(v) for v in path],
         "t": float(t),
@@ -410,4 +478,13 @@ def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
         "seed": int(sample.master_seed),
         "grid": [float(p) for p in grid.points],
     }
-    return BuiltMlpNetwork(net, provenance, prediction)
+    return MlpRoot(coefs, parts, provenance, prediction)
+
+
+def build_mlp_network(networks: ProblemNetworks, config, path: IndexPath,
+                      t: float) -> BuiltMlpNetwork:
+    """The stored level-n network of ``build_mlp_root``: the sum of its root
+    node, whose architecture ``sum_networks`` holds to the prediction."""
+    root = build_mlp_root(networks, config, path, t)
+    return BuiltMlpNetwork(sum_networks(root.coefficients, root.summands),
+                           root.provenance, root.prediction)

@@ -10,9 +10,11 @@ with the same config and seed are byte-identical.
 
 Exit codes: 0 success, 2 config error (including a non-finite number, a
 bad time grid, and the cost guard: a config whose predicted estimator work exceeds
-``WORK_GUARD`` runs only with --force), 3 resource guard, 4 a check ran
-and failed, 5 internal error (any other exception, such as a non-finite
-simulated state, NumericFailure; the message names the exception type).
+``WORK_GUARD`` runs only with --force), 3 resource guard (a build over
+``builder.PARAM_GUARD``, or a dimension over ``COEFFICIENT_BYTES_GUARD``;
+--force lifts neither), 4 a check ran and failed, 5 internal error (any
+other exception, such as a non-finite simulated state, NumericFailure; the
+message names the exception type).
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from .analysis import (
     paper_growth_recipe,
     perturbation_check,
 )
-from .builder import BuildSizeError, build_mlp_network
+from .builder import BuildSizeError, build_mlp_root
 from .indexrng import FrozenSample
 from .mlp import ROOT_PATH, MlpConfig, mlp_estimate, predict_work
-from .nets import architecture, max_width, network_to_dict, param_count, realize
+from .nets import max_width, network_to_dict, param_count_of, realize_sum, sum_networks
 from .problems import (FACTORIES, EncodingError, catalog_entry, drift_shifted_heat,
                        network_encodings)
 from .sde import SimulationError, TimeGrid, uniform_grid
@@ -62,9 +64,20 @@ EXIT_INTERNAL = 5
 SUBSTREAM_PATH_STEPS = 9
 WORK_GUARD = 20_000_000
 
+# Every catalog problem holds d x d float64 coefficient arrays (heat's
+# sqrt(2) I, its zero drift and their networks: about a dozen), so a config
+# may ask for no dimension whose one such array exceeds this many bytes
+# (128 MiB, d = 4,096).  At 1 GiB a heat solve allocated 7.9 GB before an
+# 8 GB host killed it.
+COEFFICIENT_BYTES_GUARD = 1 << 27
+
 
 class ConfigError(ValueError):
     pass
+
+
+class ResourceError(RuntimeError):
+    """A config asks for more memory than a resource guard allows."""
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -154,6 +167,19 @@ def _guard_work(cfg: dict, command: str) -> None:
             )
 
 
+def _guard_memory(cfg: dict) -> None:
+    """Refuse a dimension whose d x d float64 coefficient array exceeds
+    COEFFICIENT_BYTES_GUARD, before any problem is built."""
+    for key in ("dimension", "d_list"):
+        value = cfg.get(key)
+        for d in value if isinstance(value, list) else [value]:
+            if d is not None and 8 * d * d > COEFFICIENT_BYTES_GUARD:
+                raise ResourceError(
+                    f"{key} = {d} needs {8 * d * d} bytes for one d x d float64 "
+                    f"coefficient array, over the bound COEFFICIENT_BYTES_GUARD = "
+                    f"{COEFFICIENT_BYTES_GUARD} bytes")
+
+
 def cmd_solve(cfg: dict, seed: int, out_dir: Path) -> int:
     problem = _entry(cfg).problem
     grid = _time_grid(cfg, problem.horizon, cfg["M"])
@@ -177,7 +203,7 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
         raise ConfigError(f"delta_target = {cfg['delta_target']}: {exc}") from exc
     config = MlpConfig(cfg["n"], cfg["M"], grid, FrozenSample(seed))
     try:
-        built = build_mlp_network(networks, config, ROOT_PATH, t)
+        root = build_mlp_root(networks, config, ROOT_PATH, t)
     except BuildSizeError as exc:
         report = {"error": "resource guard", **exc.report}
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,26 +213,26 @@ def cmd_build_verify(cfg: dict, seed: int, out_dir: Path) -> int:
 
     probes = _probes(cfg, problem.d) or [np.zeros(problem.d)]
     estimates = mlp_estimate(problem, config, ROOT_PATH, t, np.array(probes)).tolist()
+    # each probe realized on its own, with the bits of a point-wise realize
+    realized, arch = realize_sum(root.coefficients, root.summands, np.array(probes))
     worst = 0.0
-    for x, u in zip(probes, estimates):  # a batched realize would move the last bits
-        r = float(realize(built.network, x)[0])
+    for r, u in zip(realized[:, 0].tolist(), estimates):
         worst = max(worst, abs(r - u) / (1.0 + abs(u)))
-    pred = built.prediction
-    arch = architecture(built.network)
+    pred = root.prediction
     report = {
         "problem": problem.name, "n": config.n, "M": config.M, "seed": seed, "t": t,
         "max_relative_deviation": worst,
         "depth": {"actual": len(arch), "predicted": pred.depth},
         "width": {"actual": max_width(arch), "bound": pred.width_bound},
-        "params": {"actual": param_count(built.network), "bound": pred.param_bound},
+        "params": {"actual": param_count_of(arch), "bound": pred.param_bound},
         "pass": worst <= 1e-8,
-        "provenance": built.provenance,
+        "provenance": root.provenance,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "build_verify.json").write_text(json.dumps(report, indent=2))
     if cfg["serialize_network"]:
-        payload = {"network": network_to_dict(built.network),
-                   "provenance": built.provenance}
+        network = sum_networks(root.coefficients, root.summands)
+        payload = {"network": network_to_dict(network), "provenance": root.provenance}
         (out_dir / "network.json").write_text(json.dumps(payload))
     print(json.dumps(report["params"] | {"pass": report["pass"]}, indent=None))
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
@@ -409,6 +435,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_config(args.config, args.command)
+        _guard_memory(cfg)
         if not args.force:
             _guard_work(cfg, args.command)
         handlers = {"solve": cmd_solve, "build-verify": cmd_build_verify, "sweep": cmd_sweep}
@@ -416,6 +443,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ResourceError as exc:
+        print(f"resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

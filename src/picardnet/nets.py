@@ -21,7 +21,13 @@ seals only the layers it creates: the glue pair at every composition
 seam, every layer of a parallel sum, and an inserted padding layer; each
 fresh run must link to the trusted layers on both sides.  A chain of
 compositions is assembled once by ``compose_chain``, not one binary
-``compose`` at a time.
+``compose`` at a time, and a chain of copies of one network that differ
+only in their first and last layers by ``compose_copies``, with every glue
+pair of the chain in one stacked array.
+
+A parallel sum need not be stored to be realized: ``realize_sum`` streams
+the layers ``sum_networks`` would store through one reused buffer and
+gives each point the bits ``realize`` gives it on the stored sum.
 """
 
 from __future__ import annotations
@@ -167,6 +173,13 @@ def max_width(arch: Sequence[int]) -> int:
     return int(max(arch))
 
 
+def _hidden_step(v: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(W v + b, 0): one hidden layer, in the operations every realization uses."""
+    v = v @ w.T
+    v += b
+    return np.maximum(v, 0.0, out=v)
+
+
 def realize(net: ReluNetwork, x: Sequence[float]) -> np.ndarray:
     """Evaluate the network: affine, ReLU, ..., affine (no final ReLU).
 
@@ -179,9 +192,7 @@ def realize(net: ReluNetwork, x: Sequence[float]) -> np.ndarray:
     if v.shape != (d,) and (v.ndim != 2 or v.shape[1] != d):
         raise NetworkError(f"input has shape {v.shape}, network expects ({d},) or (N, {d})")
     for w, b in net.layers[:-1]:
-        v = v @ w.T
-        v += b
-        np.maximum(v, 0.0, out=v)
+        v = _hidden_step(v, w, b)
     w, b = net.layers[-1]
     return v @ w.T + b
 
@@ -269,6 +280,17 @@ def affine_network(w: Sequence[Sequence[float]], b: Sequence[float]) -> ReluNetw
     return _new_network([first, merge])
 
 
+def _glue(w_last, b_last, a_first, a_bias):
+    """The glue pair at a composition seam, from the inner network's last
+    layer and the outer network's first: the inner affine map duplicated
+    with both signs, so the glue hidden layer carries (y+, (-y)+), and the
+    outer weight pre-multiplied by [I, -I] to rebuild y before acting.
+    Leading axes stack seams, so one call makes the pairs of many."""
+    return ((np.concatenate([w_last, -w_last], axis=-2),
+             np.concatenate([b_last, -b_last], axis=-1)),
+            (np.concatenate([a_first, -a_first], axis=-1), a_bias))
+
+
 def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
     """Exact composition: realize(result, x) == realize(outer, realize(inner, x)).
 
@@ -283,12 +305,9 @@ def compose_chain(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     """Exact composition of a chain: the result realizes
     x -> nets[-1](...nets[1](nets[0](x))).
 
-    At every seam the inner network's last affine layer is duplicated with
-    both signs, so the glue hidden layer carries (y+, (-y)+), and the outer
-    network's first affine map is pre-multiplied by [I, -I] to reconstruct
-    y before acting.  The whole chain is assembled once; its layers equal
-    those of the binary compositions folded along it, because composition
-    is layer-associative.  A network may appear more than once (an Euler
+    Every seam gets the glue pair of ``_glue``.  The whole chain is
+    assembled once; its layers equal those of the binary compositions
+    folded along it, because composition is layer-associative.  A network may appear more than once (an Euler
     chain repeats one bracket for all its dead intervals): its layers are
     read-only and shared.
 
@@ -310,10 +329,7 @@ def compose_chain(nets: Sequence[ReluNetwork]) -> ReluNetwork:
                 f"composition mismatch: inner emits {inner.output_dim}, "
                 f"outer expects {outer.input_dim}"
             )
-        w_last, b_last = inner.layers[-1]
-        a_first, a_bias = outer.layers[0]
-        glue = ((np.concatenate([w_last, -w_last]), np.concatenate([b_last, -b_last])),
-                (np.concatenate([a_first, -a_first], axis=1), a_bias))
+        glue = _glue(*inner.layers[-1], *outer.layers[0])
         widths += _fresh(glue, inner.widths[-2], outer.widths[1], len(layers))
         layers += glue
         layers += outer.layers[1:-1]
@@ -327,48 +343,139 @@ def compose_chain(nets: Sequence[ReluNetwork]) -> ReluNetwork:
     return _assemble(layers, widths)
 
 
-def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> ReluNetwork:
-    """Network realizing sum_i h_i * realize(net_i, x).
+def copies_architecture(arch: Sequence[int], copies: int) -> Architecture:
+    """Architecture of a chain of ``copies`` networks of architecture ``arch``:
+    the closed form of folding ``compose_architecture`` along it, since every
+    seam merges the output and input layers into one glue layer."""
+    arch = tuple(arch)
+    return arch[:-1] + ((arch[-1] + arch[0],) + arch[1:-1]) * (copies - 1) + (arch[-1],)
 
-    All summands must share input dimension, output dimension and depth.
-    First-layer weights stack vertically, hidden layers go block-diagonal,
-    and the coefficients fold into the final affine layer.  Every layer of
-    the sum is fresh and checked, a single summand's too, and its width
-    vector must equal ``sum_architecture`` of the summands'.
+
+def compose_copies(net: ReluNetwork, firsts, lasts) -> ReluNetwork:
+    """The chain of K copies of ``net`` that differ only in their first and
+    last layers: copy k has first layer (firsts[0][k], firsts[1][k]) and last
+    layer (lasts[0][k], lasts[1][k]), and shares ``net``'s hidden layers.
+
+    Each of the four stacks has shape (K, ...) of the layer it replaces and
+    is copied once, read-only.  The result has the layers of
+    ``compose_chain`` over the K copies; its K - 1 glue pairs come from one
+    ``_glue`` call on the stacks, and link by the shapes checked here.
+    ``net`` must map R^q to R^q.
     """
-    if len(coefficients) != len(nets) or not nets:
-        raise NetworkError("need one coefficient per network, and at least one network")
-    arch = sum_architecture([net.widths for net in nets])  # checks depth and endpoints
-    n_aff = len(nets[0].layers)
+    stacks = [_freeze(a) for a in (*firsts, *lasts)]
+    first_w, first_b, last_w, last_b = stacks
+    copies = len(first_w)
+    if copies < 1 or net.input_dim != net.output_dim:
+        raise NetworkError(f"need at least one copy of a map R^q -> R^q, got {copies} "
+                           f"of R^{net.input_dim} -> R^{net.output_dim}")
+    for stack, layer in zip(stacks, (*net.layers[0], *net.layers[-1])):
+        if stack.shape != (copies, *layer.shape):
+            raise NetworkError(f"a stack of shape {stack.shape} cannot replace a layer of "
+                               f"shape {layer.shape} in {copies} copies")
+    seams = _glue(last_w[:-1], last_b[:-1], first_w[1:], first_b[1:])
+    _seal(seams)
+    (glue_w, glue_b), (merge_w, merge_b) = seams
+    hidden = net.layers[1:-1]
+    layers = [(first_w[0], first_b[0]), *hidden]
+    for k in range(copies - 1):
+        layers += [(glue_w[k], glue_b[k]), (merge_w[k], merge_b[k]), *hidden]
+    layers.append((last_w[-1], last_b[-1]))
+    return _assemble(layers, copies_architecture(net.widths, copies))
+
+
+def _sum_layers(coefficients, nets, scratch=None):
+    """The layers of the parallel sum of ``nets``, one at a time.
+
+    First-layer weights stack vertically, hidden layers go block-diagonal,
+    and the coefficients fold into the final affine layer.  A hidden layer
+    is a fresh zero array with the blocks written in; given ``scratch``, a
+    zero float64 buffer of at least its size, it is instead a view of the
+    buffer, whose blocks are zeroed again when the next layer is asked for.
+    """
     q = nets[0].output_dim
-    layers = []
-    layers.append(
-        (
-            np.concatenate([net.layers[0][0] for net in nets]),
-            np.concatenate([net.layers[0][1] for net in nets]),
-        )
-    )
-    for j in range(1, n_aff - 1):
+    yield (np.concatenate([net.layers[0][0] for net in nets]),
+           np.concatenate([net.layers[0][1] for net in nets]))
+    for j in range(1, len(nets[0].layers) - 1):
         blocks = [net.layers[j][0] for net in nets]
         rows = sum(bk.shape[0] for bk in blocks)
         cols = sum(bk.shape[1] for bk in blocks)
-        w = np.zeros((rows, cols))
+        if scratch is None:
+            w = np.zeros((rows, cols))
+        else:
+            w = scratch[: rows * cols].reshape(rows, cols)
+        spans = []
         r = c = 0
         for bk in blocks:
-            w[r : r + bk.shape[0], c : c + bk.shape[1]] = bk
+            spans.append(w[r : r + bk.shape[0], c : c + bk.shape[1]])
+            spans[-1][...] = bk
             r += bk.shape[0]
             c += bk.shape[1]
-        layers.append((w, np.concatenate([net.layers[j][1] for net in nets])))
+        yield w, np.concatenate([net.layers[j][1] for net in nets])
+        if scratch is not None:
+            for span in spans:
+                span[...] = 0.0
     w_fin = np.concatenate([float(h) * net.layers[-1][0] for h, net in zip(coefficients, nets)],
                            axis=1)
     b_fin = np.zeros(q)
     for h, net in zip(coefficients, nets):
         b_fin = b_fin + float(h) * net.layers[-1][1]
-    layers.append((w_fin, b_fin))
-    net = _new_network(layers)
+    yield w_fin, b_fin
+
+
+def _sum_operands(coefficients, nets) -> Architecture:
+    """Check the operands of a parallel sum; return its architecture."""
+    if len(coefficients) != len(nets) or not nets:
+        raise NetworkError("need one coefficient per network, and at least one network")
+    return sum_architecture([net.widths for net in nets])  # checks depth and endpoints
+
+
+def sum_networks(coefficients: Sequence[float], nets: Sequence[ReluNetwork]) -> ReluNetwork:
+    """Network realizing sum_i h_i * realize(net_i, x).
+
+    All summands must share input dimension, output dimension and depth.
+    Its layers are those of ``_sum_layers``, every one fresh and checked, a
+    single summand's too, and its width vector must equal
+    ``sum_architecture`` of the summands'.
+    """
+    arch = _sum_operands(coefficients, nets)
+    net = _new_network(_sum_layers(coefficients, nets))
     if net.widths != arch:
         raise NetworkError("summed architecture breaks the sum identity")
     return net
+
+
+def realize_sum(coefficients: Sequence[float], nets: Sequence[ReluNetwork],
+                points) -> tuple[np.ndarray, Architecture]:
+    """Realize sum_networks(coefficients, nets) at each row of ``points``
+    without storing the sum; returns the (N, out) values and the width
+    vector read off the layers as they streamed past.
+
+    One pass over the layers of ``_sum_layers``, which writes every hidden
+    layer into one reused buffer, applies each layer to each point as its
+    own 1-D product, as ``realize`` applies one point, so row i has the bits
+    of realize(sum_networks(coefficients, nets), points[i]).
+    """
+    arch = _sum_operands(coefficients, nets)
+    xs = np.asarray(points, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != arch[0]:
+        raise NetworkError(f"points have shape {xs.shape}, the sum expects (N, {arch[0]})")
+    # hidden layer j has shape (arch[j + 1], arch[j])
+    scratch = np.zeros(max((arch[j + 1] * arch[j] for j in range(1, len(arch) - 2)),
+                           default=0))
+    vs = list(xs)
+    widths = [arch[0]]
+    out = np.empty((len(vs), arch[-1]))
+    for idx, (w, b) in enumerate(_sum_layers(coefficients, nets, scratch)):
+        widths += _check_run(((w, b),), widths[-1], idx)
+        if idx < len(arch) - 2:
+            vs = [_hidden_step(v, w, b) for v in vs]
+        else:
+            for i, v in enumerate(vs):
+                out[i] = v @ w.T + b
+    widths = tuple(widths)
+    if widths != arch:
+        raise NetworkError("summed architecture breaks the sum identity")
+    return out, widths
 
 
 def extend_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:

@@ -7,18 +7,28 @@ from picardnet import (
     FrozenSample,
     MlpConfig,
     ROOT_PATH,
+    TimeGrid,
     architecture,
+    bracket_template,
+    brownian_path,
     build_euler_network,
     build_mlp_network,
+    build_mlp_root,
+    compose_chain,
+    effective_breakpoints,
     euler_architecture,
     euler_evaluate,
+    extend_depth,
+    identity_network,
     max_width,
     mlp_depth_identity,
     mlp_estimate,
     param_count,
     predict_architecture,
     realize,
+    realize_sum,
     sigma_family_constant,
+    sum_networks,
     uniform_grid,
 )
 from picardnet.builder import BuildSizeError, PARAM_GUARD
@@ -29,6 +39,7 @@ from picardnet.nets import (
     sum_architecture,
 )
 from picardnet.problems import catalog_entry, network_encodings
+from conftest import random_network
 
 SAMPLE = FrozenSample(777)
 
@@ -42,8 +53,8 @@ def test_euler_zero_coefficients_identity(rng):
 
     d = 2
     mu_net = affine_network(np.zeros((d, d)), np.zeros(d))
-    net = build_euler_network(mu_net, sigma_family_constant(d, np.zeros((d, d))),
-                              uniform_grid(1.0, 3), SAMPLE, (1,), 0.2, 0.9)
+    template = bracket_template(mu_net, sigma_family_constant(d, np.zeros((d, d))))
+    net = build_euler_network(template, uniform_grid(1.0, 3), SAMPLE, (1,), 0.2, 0.9)
     x = rng.uniform(-3, 3, d)
     np.testing.assert_allclose(realize(net, x), x, atol=1e-14)
 
@@ -52,8 +63,8 @@ def test_euler_single_deterministic_step():
     from picardnet import affine_network
 
     mu_net = affine_network(np.eye(1), np.zeros(1))  # drift x
-    net = build_euler_network(mu_net, sigma_family_constant(1, np.zeros((1, 1))),
-                              uniform_grid(1.0, 1), SAMPLE, (1,), 0.0, 1.0)
+    template = bracket_template(mu_net, sigma_family_constant(1, np.zeros((1, 1))))
+    net = build_euler_network(template, uniform_grid(1.0, 1), SAMPLE, (1,), 0.0, 1.0)
     for x in (-2.0, 0.5, 3.0):
         assert realize(net, [x])[0] == pytest.approx(2.0 * x)  # x + T*x
 
@@ -61,12 +72,13 @@ def test_euler_single_deterministic_step():
 def test_euler_network_matches_simulator(rng, bs_entry):
     problem = bs_entry.problem
     nets = network_encodings(problem)
+    template = bracket_template(nets.mu, nets.sigma)
     grid = uniform_grid(1.0, 2)
     for trial in range(20):
         theta = tuple(int(v) for v in rng.integers(-5, 5, size=3))
         t = float(rng.uniform(0, 1))
         s = float(rng.uniform(t, 1))
-        net = build_euler_network(nets.mu, nets.sigma, grid, SAMPLE, theta, t, s)
+        net = build_euler_network(template, grid, SAMPLE, theta, t, s)
         for _ in range(5):
             x = rng.uniform(0.5, 1.5, problem.d)
             want = euler_evaluate(problem, grid, SAMPLE, theta, t, x, s)
@@ -76,10 +88,11 @@ def test_euler_network_matches_simulator(rng, bs_entry):
 
 def test_euler_architecture_invariance_and_depth(rng, bs_entry):
     nets = network_encodings(bs_entry.problem)
+    template = bracket_template(nets.mu, nets.sigma)
     grid = uniform_grid(1.0, 3)
     archs = set()
     for theta, t, s in [((0,), 0.0, 1.0), ((5, 5), 0.3, 0.4), ((-2,), 0.9, 1.0)]:
-        net = build_euler_network(nets.mu, nets.sigma, grid, SAMPLE, theta, t, s)
+        net = build_euler_network(template, grid, SAMPLE, theta, t, s)
         archs.add(architecture(net))
     assert len(archs) == 1
     arch = archs.pop()
@@ -311,3 +324,100 @@ def test_one_node_description_moves_every_reader(monkeypatch, name, n, M):
     assert Counter(drawn) == estimated
     r = float(realize(built.network, x)[0])
     assert abs(r - u) <= 1e-8 * (1.0 + abs(u))
+
+
+# ---------------------------------------------------------------------------
+# the streamed root and the bracket template, against the stored calculus
+# ---------------------------------------------------------------------------
+
+def _hex_rows(values):
+    return [[float(v).hex() for v in row] for row in values]
+
+
+def _assert_realize_sum_is_pointwise(root, xs):
+    stored = sum_networks(root.coefficients, root.summands)
+    values, widths = realize_sum(root.coefficients, root.summands, xs)
+    assert widths == stored.widths == root.prediction.architecture
+    assert _hex_rows(values) == _hex_rows([realize(stored, x) for x in xs])
+    return values
+
+
+def test_realize_sum_has_the_bits_of_the_stored_root():
+    # relu-exact n=M=3: 32 probes in one pass, each with the bits of its own
+    # point-wise realize of the stored 278 MB sum, and of a pass on its own
+    problem = catalog_entry("relu-exact", d=2).problem
+    config = MlpConfig(3, 3, uniform_grid(problem.horizon, 8), FrozenSample(0))
+    root = build_mlp_root(network_encodings(problem), config, ROOT_PATH, 0.0)
+    xs = np.random.default_rng(32).uniform(-1.0, 1.0, (32, 2))
+    values = _assert_realize_sum_is_pointwise(root, xs)
+    for i in (0, 17):
+        alone, _ = realize_sum(root.coefficients, root.summands, xs[i:i + 1])
+        assert _hex_rows(alone) == _hex_rows(values[i:i + 1])
+
+
+@pytest.mark.parametrize("name", ["ode-exp", "heat", "relu-exact", "bs-like"])
+@pytest.mark.parametrize("n, M", [(0, 1), (1, 1), (1, 2), (2, 2)])
+def test_realize_sum_has_the_bits_of_every_small_root(name, n, M):
+    problem = catalog_entry(name).problem
+    config = MlpConfig(n, M, uniform_grid(problem.horizon, 2), FrozenSample(40 + n))
+    root = build_mlp_root(network_encodings(problem), config, (2,), 0.3)
+    xs = np.random.default_rng(n).uniform(0.5, 1.5, (5, problem.d))
+    _assert_realize_sum_is_pointwise(root, xs)
+
+
+def _euler_fold(mu_net, sigma_family, grid, sample, path, t, s):
+    """The calculus fold an Euler network must equal: one ``sum_networks``
+    bracket (1, dt, 1) of identity, drift and diffusion per grid interval,
+    dead intervals with dt = 0 and dW = 0, chained by one ``compose_chain``."""
+    d = sigma_family.input_dim
+    depth = max(mu_net.depth, len(sigma_family.reference_architecture))
+    identity, mu_ext = identity_network(d, depth), extend_depth(mu_net, depth)
+    breakpoints = effective_breakpoints(grid, t, s)
+    noise = brownian_path(sample, path, d, breakpoints)
+    w_at = {breakpoints[0]: np.zeros(d)}
+    acc = np.zeros(d)
+    for i in range(len(breakpoints) - 1):
+        acc = acc + noise[i]
+        w_at[breakpoints[i + 1]] = acc
+    brackets = []
+    for k in range(1, len(grid.points)):
+        lo = max(grid.points[k - 1], t)
+        hi = min(max(s, lo), max(grid.points[k], t))
+        dt = hi - lo
+        dw = w_at[hi] - w_at[lo] if dt > 0.0 else np.zeros(d)
+        brackets.append(sum_networks([1.0, dt, 1.0], [identity, mu_ext,
+                                                      extend_depth(sigma_family(dw), depth)]))
+    return compose_chain(brackets)
+
+
+@pytest.mark.parametrize("name", ["ode-exp", "heat", "relu-exact", "bs-like"])
+# a drift of depth 4 or 5 pads the depth-3 diffusion with extend_depth: a pad
+# layer at gap 1, a composition with an identity network at gap 2; the catalog
+# drifts end in a zero bias, a random one does not
+@pytest.mark.parametrize("drift", ["catalog", 4, 5, "random"])
+@pytest.mark.parametrize("grid, t, s", [
+    (uniform_grid(1.0, 8), 0.3, 0.6),     # dead steps on both sides of [t, s]
+    (uniform_grid(1.0, 8), 0.0, 1.0),     # every step live
+    (uniform_grid(1.0, 8), 0.4, 0.4),     # t == s: every step dead
+    (uniform_grid(1.0, 1), 0.2, 0.7),     # one bracket, no seam
+    (TimeGrid((0.0, 0.25, 0.5, 0.5, 1.0)), 0.1, 0.9),  # a repeated grid point
+    (TimeGrid((0.0, 0.25, 0.5, 0.5, 1.0)), 0.5, 0.5),
+])
+def test_euler_network_equals_the_calculus_fold(name, drift, grid, t, s):
+    problem = catalog_entry(name).problem
+    enc = network_encodings(problem)
+    if drift == "catalog":
+        mu = enc.mu
+    elif drift == "random":
+        mu = random_network(np.random.default_rng(5), problem.d, problem.d, 3)
+    else:
+        mu = extend_depth(enc.mu, drift)
+    path = (3, -1)
+    net = build_euler_network(bracket_template(mu, enc.sigma), grid, SAMPLE, path, t, s)
+    want = _euler_fold(mu, enc.sigma, grid, SAMPLE, path, t, s)
+    assert net.widths == want.widths
+    assert len(net.layers) == len(want.layers)
+    for (w, b), (w_want, b_want) in zip(net.layers, want.layers):
+        assert np.array_equal(w, w_want) and np.array_equal(b, b_want)
+        assert w.tobytes() == w_want.tobytes() and b.tobytes() == b_want.tobytes()
+        assert not w.flags.writeable and not b.flags.writeable

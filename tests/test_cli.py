@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -99,22 +100,23 @@ def test_build_verify_pass_report(tmp_path):
 
 
 def test_build_verify_reports_built_shape(tmp_path, monkeypatch):
-    # a build that diverges from its prediction must show in the "actual" fields
+    # a root that diverges from its prediction must show in the "actual" fields,
+    # read off the layers build-verify streamed
     import dataclasses
 
-    from picardnet import architecture, cli, extend_depth, max_width, sum_networks
+    from picardnet import cli, extend_depth, max_width, sum_architecture, sum_networks
 
-    real_build = cli.build_mlp_network
+    real_root = cli.build_mlp_root
     seen = []
 
-    def widened_build(*args, **kwargs):
-        built = real_build(*args, **kwargs)
-        net = built.network
-        wider = extend_depth(sum_networks([0.5, 0.5], [net, net]), net.depth + 1)
-        seen.append((built.prediction, architecture(wider)))
-        return dataclasses.replace(built, network=wider)
+    def widened_root(*args, **kwargs):
+        root = real_root(*args, **kwargs)
+        wider = [extend_depth(sum_networks([0.5, 0.5], [net, net]), net.depth + 1)
+                 for net in root.summands]
+        seen.append((root.prediction, sum_architecture([net.widths for net in wider])))
+        return dataclasses.replace(root, summands=wider)
 
-    monkeypatch.setattr(cli, "build_mlp_network", widened_build)
+    monkeypatch.setattr(cli, "build_mlp_root", widened_root)
     cfg = write_config(
         tmp_path, "c.json",
         {"problem": "relu-exact", "n": 1, "M": 1, "probes": [[0.1, -0.2]],
@@ -152,6 +154,83 @@ def test_build_verify_oversize_exits_3(tmp_path):
     assert code == EXIT_RESOURCE
     report = json.loads((out / "build_verify.json").read_text())
     assert report["error"] == "resource guard"
+
+
+def test_build_verify_streams_the_root(tmp_path):
+    # the stored relu-exact n=M=3 root takes 278 MB of dense layers; build-verify
+    # realizes it without storing it, so its traced peak stays far below that
+    import tracemalloc
+
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"problem": "relu-exact", "dimension": 2, "n": 3, "M": 3, "probes": [[0.25, -0.5]],
+         "time_grid": {"uniform_steps": 8}},
+    )
+    tracemalloc.start()
+    try:
+        code = run(["build-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 278e6 / 2
+
+
+def test_build_verify_serialized_network_bytes(tmp_path, capsys):
+    # SHA-256 of both files as the stored-root build wrote them
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"problem": "relu-exact", "n": 2, "M": 2, "probes": [[0.25, -0.5], [0.1, 0.3]],
+         "time_grid": {"uniform_steps": 8}, "serialize_network": True},
+    )
+    out = tmp_path / "o"
+    assert run(["build-verify", "--config", cfg, "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == '{"actual": 210587, "bound": 10288080, "pass": true}\n'
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("build_verify.json", "network.json")}
+    assert digests == {
+        "build_verify.json": "4a3c314ab00cb3e8b6975c57a857e4b3930a1c81f74800e7c128f4462cd78a27",
+        "network.json": "409f8771e4514683a16977c34f18407890859123af2b3c6fb5b19c4977717be7",
+    }
+
+
+@pytest.mark.parametrize("config", [
+    {"problem": "heat", "dimension": 100_000_000},
+    {"problem": "heat", "dimension": 4097, "n": 6, "M": 6},
+    {"problem": "heat", "sweep": "growth", "d_list": [1, 4097]},
+])
+def test_dimension_guard_refuses_before_building(tmp_path, monkeypatch, capsys, config):
+    # one d x d float64 array of 4,097^2 values passes COEFFICIENT_BYTES_GUARD;
+    # --force lifts only the cost guard
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "catalog_entry", no_build)
+    command = "sweep" if "sweep" in config else "solve"
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out), "--force"]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    d = config.get("dimension") or config["d_list"][-1]
+    key = "dimension" if "dimension" in config else "d_list"
+    assert f"resource guard: {key} = {d} needs {8 * d * d} bytes" in err
+    assert str(cli.COEFFICIENT_BYTES_GUARD) in err
+    assert not out.exists()
+
+
+def test_dimension_guard_admits_the_bound(tmp_path, monkeypatch, capsys):
+    # d = 4,096 is exactly the bound: the config reaches the cost guard, which
+    # refuses n = M = 6 before any problem is built
+    assert 8 * 4096**2 == cli.COEFFICIENT_BYTES_GUARD
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "catalog_entry", no_build)
+    cfg = write_config(tmp_path, "c.json",
+                       {"problem": "heat", "dimension": 4096, "n": 6, "M": 6})
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "over the cost guard" in capsys.readouterr().err
 
 
 def test_build_verify_inexact_encoding_exits_4(tmp_path):

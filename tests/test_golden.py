@@ -26,7 +26,7 @@ from picardnet import (
 )
 from picardnet import cli
 from picardnet.analysis import coupled_paths, simulate_terminal_batch
-from picardnet.builder import build_euler_network
+from picardnet.builder import bracket_template, build_euler_network
 
 # the point 0.5 is repeated: the zero-length step must consume no randomness
 REPEATED = TimeGrid((0.0, 0.25, 0.5, 0.5, 1.0))
@@ -141,8 +141,9 @@ EULER_NETWORKS = [
 def test_golden_euler_network(name, want):
     problem = catalog_entry(name, d=2).problem
     encodings = network_encodings(problem)
-    net = build_euler_network(encodings.mu, encodings.sigma, uniform_grid(problem.horizon, 8),
-                              FrozenSample(0), ROOT_PATH, 0.3, 0.6)
+    net = build_euler_network(bracket_template(encodings.mu, encodings.sigma),
+                              uniform_grid(problem.horizon, 8), FrozenSample(0),
+                              ROOT_PATH, 0.3, 0.6)
     text = json.dumps(network_to_dict(net))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 

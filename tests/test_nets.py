@@ -17,6 +17,8 @@ from picardnet import (
     compose,
     compose_architecture,
     compose_chain,
+    compose_copies,
+    copies_architecture,
     extend_depth,
     identity_architecture,
     identity_network,
@@ -25,6 +27,7 @@ from picardnet import (
     network_to_dict,
     param_count,
     realize,
+    realize_sum,
     sum_architecture,
     sum_networks,
     uniform_grid,
@@ -437,3 +440,41 @@ def test_sum_homomorphism_property(count, depth, seed):
         want = sum(hi * realize(n, x) for hi, n in zip(h, nets))
         got = realize(s, x)
         assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+
+def test_realize_sum_streams_the_bits_of_the_stored_sum(rng):
+    # hidden layers of changing shapes share one buffer, zero again before each
+    nets = [compose(random_network(rng, 3, 1, 4, width=w),
+                    random_network(rng, 2, 3, 3, width=w + 2)) for w in (2, 5, 3)]
+    coefficients = [0.5, -1.25, 3.0]
+    stored = sum_networks(coefficients, nets)
+    xs = rng.uniform(-2, 2, (7, 2))
+    values, widths = realize_sum(coefficients, nets, xs)
+    assert widths == stored.widths
+    assert values.tobytes() == np.array([realize(stored, x) for x in xs]).tobytes()
+    assert realize_sum(coefficients, nets, np.empty((0, 2)))[0].shape == (0, 1)
+    for bad in (xs[0], xs[:, :1]):
+        with pytest.raises(NetworkError):
+            realize_sum(coefficients, nets, bad)
+    with pytest.raises(NetworkError):
+        realize_sum(coefficients[:2], nets, xs)
+
+
+def test_compose_copies_is_the_chain_of_its_copies(rng):
+    net = random_network(rng, 2, 2, 4, width=3)
+    (w0, b0), (wl, bl) = net.layers[0], net.layers[-1]
+    firsts = (rng.standard_normal((3, *w0.shape)), rng.standard_normal((3, *b0.shape)))
+    lasts = (rng.standard_normal((3, *wl.shape)), rng.standard_normal((3, *bl.shape)))
+    copies = [ReluNetwork(((firsts[0][k], firsts[1][k]), *net.layers[1:-1],
+                           (lasts[0][k], lasts[1][k]))) for k in range(3)]
+    chained = compose_copies(net, firsts, lasts)
+    want = compose_chain(copies)
+    assert chained.widths == want.widths == copies_architecture(net.widths, 3)
+    assert all(w.tobytes() == v.tobytes() and b.tobytes() == c.tobytes()
+               for (w, b), (v, c) in zip(chained.layers, want.layers, strict=True))
+    firsts[0][0, 0, 0] += 1.0  # the copies hold their own read-only layers
+    assert chained.layers[0][0][0, 0] != firsts[0][0, 0, 0]
+    with pytest.raises(NetworkError):
+        compose_copies(net, (firsts[0][:, :, :1], firsts[1]), lasts)
+    with pytest.raises(NetworkError):
+        compose_copies(random_network(rng, 2, 1, 3), firsts, lasts)
